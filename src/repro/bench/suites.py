@@ -186,8 +186,7 @@ def table4_policy(quick: bool) -> List[BenchResult]:
     t0 = time.perf_counter()
     scenario = run_policy_scenario("proportional", seed=1)
     wall = time.perf_counter() - t0
-    jobs = getattr(scenario, "jobs", None)
-    n_jobs = len(jobs) if jobs is not None else 0
+    n_jobs = len(scenario.metrics)
     return [
         BenchResult(
             benchmark="table4_policy",

@@ -46,16 +46,19 @@ def _sweep_platform() -> str:
 def _attach_best_available(instance, **kwargs):
     """``attach_monitor`` with every keyword the checkout understands.
 
-    On a pre-columnar tree the ``columnar=True`` request silently
-    degrades to the scalar per-agent path — which is exactly the
-    baseline measurement the comparison needs.
+    Returns ``(monitor, columnar)``: ``columnar`` says whether the
+    checkout's ``attach_monitor`` knows the ``columnar=`` keyword. On a
+    pre-columnar tree the request silently degrades to the scalar
+    per-agent path — which is exactly the baseline measurement the
+    comparison needs.
     """
     from repro.monitor.module import attach_monitor
 
     allowed = inspect.signature(attach_monitor).parameters
-    return attach_monitor(
+    monitor = attach_monitor(
         instance, **{k: v for k, v in kwargs.items() if k in allowed}
     )
+    return monitor, "columnar" in allowed
 
 
 def _run_sweep(
@@ -78,7 +81,7 @@ def _run_sweep(
     inst = FluxInstance(
         platform=platform, n_nodes=n_nodes, seed=seed, fanout=fanout
     )
-    monitor = _attach_best_available(
+    _, columnar = _attach_best_available(
         inst,
         sample_interval_s=sample_interval_s,
         buffer_capacity=buffer_capacity,
@@ -118,7 +121,7 @@ def _run_sweep(
     params: Dict[str, Any] = {
         "n_nodes": n_nodes,
         "platform": platform,
-        "columnar": bool(getattr(monitor, "columnar", False)),
+        "columnar": columnar,
         "window_s": window_s,
         "sample_interval_s": sample_interval_s,
         "buffer_capacity": buffer_capacity,

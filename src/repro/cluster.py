@@ -99,8 +99,6 @@ class PowerManagedCluster:
         fault_plan: Optional[FaultPlan] = None,
         monitor_retry: Optional[RetryConfig] = None,
         monitor_strategy: str = "fanout",
-        monitor_batch_sampling: bool = True,
-        monitor_columnar: bool = False,
         sim=None,
         hostname_prefix: Optional[str] = None,
         tenancy=None,
@@ -127,8 +125,6 @@ class PowerManagedCluster:
                 sample_interval_s=monitor_interval_s,
                 strategy=monitor_strategy,
                 retry=monitor_retry,
-                batch_sampling=monitor_batch_sampling,
-                columnar=monitor_columnar,
             )
         self.manager: Optional[PowerManager] = None
         if manager_config is not None:

@@ -1,17 +1,17 @@
-"""Columnar (structure-of-arrays) node state for exascale sweeps.
+"""Columnar sample storage: the monitor's sampling path.
 
-``repro.columnar`` keeps per-rank node state — current power, caps,
-power revisions, sample counts and the dead mask — as numpy arrays
-keyed by column index (one column per adopted node), and replaces the
-per-node sample dicts on the monitor hot path with *implicit* columnar
-rings that derive their contents from one shared per-group tick log.
+``repro.columnar`` replaces the per-node sample dicts on the monitor
+hot path with *implicit* columnar rings that derive their contents
+from one shared per-group tick log, so a quiet sampling tick costs
+O(1) Python work however many nodes share it.
 
-The contract is the same one ``monitor_batch_sampling`` established:
-enabling the columnar store must not change a single output byte for
-pinned configurations (see tests/golden/ and docs/performance.md), and
-where float ordering would differ the affected node falls back to the
-scalar path automatically (noisy sensors, heterogeneous per-sample
-overhead charges, restored-from-snapshot agents).
+Every ``attach_monitor`` deployment samples through it. The contract
+is byte identity: the columnar rings must not change a single output
+byte for pinned configurations (see tests/golden/ and
+docs/performance.md). An agent whose samples could not be reproduced
+exactly keeps an explicit ring buffer instead: noisy sensors, a second
+per-sample overhead charge on the same engine, and agents restored
+from a snapshot.
 """
 
 from repro.columnar.store import (
@@ -23,11 +23,6 @@ from repro.columnar.store import (
     columnar_of,
     columnar_store_of,
 )
-from repro.columnar.ops import (
-    per_node_share_np,
-    split_budget_np,
-    split_site_budget_np,
-)
 
 __all__ = [
     "ColumnarNodeStore",
@@ -37,7 +32,4 @@ __all__ = [
     "TickLog",
     "columnar_of",
     "columnar_store_of",
-    "per_node_share_np",
-    "split_budget_np",
-    "split_site_budget_np",
 ]

@@ -1,11 +1,11 @@
-"""The columnar node store and implicit sample rings.
+"""The columnar node store and implicit sample rings: the monitor's
+sampling path.
 
-Scaling the monitor past ~1k nodes is not a constant-factor problem:
-the legacy hot path does O(nodes) Python work *per sampling tick* —
-one dict copy, two gauge writes and one accountant charge per node —
-so a 10k-node, 600 s window costs ~3M Python sample bodies before a
-single query runs. The columnar layout makes steady-state sampling
-O(ticks + power-state changes) instead:
+An explicit per-node ring buffer costs O(nodes) Python work *per
+sampling tick* — one dict copy, two gauge writes and one accountant
+charge per node — so a 10k-node, 600 s window would cost ~3M Python
+sample bodies before a single query runs. The columnar layout makes
+steady-state sampling O(ticks + power-state changes) instead:
 
 * Each :class:`~repro.monitor.sampler.BatchSampler` group owns one
   :class:`TickLog` — a shared, growable timestamp column. A group tick
@@ -32,9 +32,11 @@ O(ticks + power-state changes) instead:
   accumulator bit for bit. Flushes run before any other ``monitor``
   charge (accountant pre-charge hook) and before every metrics export.
 
-Nodes that would break those exactness arguments — noisy sensors
-(per-sample RNG), a different per-sample charge constant, agents
-restored from a snapshot — simply stay on the scalar path.
+Agents that would break those exactness arguments — noisy sensors
+(per-sample RNG), a second per-sample charge constant on the same
+engine, agents restored from a snapshot — keep an explicit
+:class:`~repro.monitor.buffer.CircularBuffer` filled per tick by the
+same :class:`~repro.monitor.sampler.BatchSampler` group.
 """
 
 from __future__ import annotations
@@ -170,6 +172,18 @@ class ColumnarSamples(Sequence):
         if not 0 <= index < n:
             raise IndexError(index)
         return self._ring.materialize(self._lo + index)
+
+    def __eq__(self, other) -> bool:
+        # Sequence equality, so a payload carrying this view compares
+        # equal to the explicit-buffer path's list of the same samples.
+        if not isinstance(other, (list, tuple, ColumnarSamples)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    #: Mutable-looking view with value equality: unhashable, like list.
+    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ColumnarSamples(n={len(self)})"
@@ -395,7 +409,7 @@ class GroupColumns:
                 self._members_by_charge[c] = left
             else:
                 self._members_by_charge.pop(c, None)
-        ring = getattr(agent, "_ring", None)
+        ring = agent._ring
         if ring is not None:
             ring.freeze()
 
@@ -435,80 +449,36 @@ class GroupColumns:
     def flush_gauges(self) -> None:
         for agent in self.agents:
             agent._set_buffer_gauges()
-            node = agent.broker.node
-            idx = node._col_index
-            if idx >= 0:
-                self.store.samples_total[idx] = agent._ring.total_appended
 
 
 class ColumnarNodeStore:
-    """Structure-of-arrays registry of per-rank node state for one sim.
+    """Per-simulator registry of the columnar sampler groups.
 
-    Arrays are column-indexed; :meth:`adopt` assigns each node a column
-    and installs the node-side revision sink so every demand/cap
-    mutation lands here as one array write plus a global revision bump.
-    ``power_w``/``cap_w`` are refreshed lazily (:meth:`refresh`) since
-    recomputing a node's drawn power on every mutation would do the
-    scalar path's work eagerly.
+    :meth:`adopt` installs the node-side revision sink, so every
+    demand/cap mutation on an adopted node bumps :attr:`global_rev`;
+    the store also owns the deferred-telemetry flush. Several
+    instances sharing one engine (an unsharded federated site) share
+    one store: rings key on their own node's revision, so nothing here
+    is per instance.
     """
-
-    _GROW = 256
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.nodes: List["Node"] = []
-        self.ranks: np.ndarray = np.full(self._GROW, -1, dtype=np.int64)
-        self.power_w: np.ndarray = np.zeros(self._GROW, dtype=np.float64)
-        self.cap_w: np.ndarray = np.full(self._GROW, np.nan, dtype=np.float64)
-        self.power_rev: np.ndarray = np.zeros(self._GROW, dtype=np.int64)
-        self.samples_total: np.ndarray = np.zeros(self._GROW, dtype=np.int64)
-        self.dead: np.ndarray = np.zeros(self._GROW, dtype=bool)
         #: Bumped on every adopted node's power-state mutation; sampler
         #: groups compare it to skip per-node scans on quiet ticks.
         self.global_rev = 0
-        self._power_dirty: set = set()
         self._groups: List[GroupColumns] = []
         self._charge_value: Optional[float] = None
         self._flushing = False
         self._hooked = False
 
     # -- membership -----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def _grow_to(self, n: int) -> None:
-        cap = len(self.ranks)
-        if n <= cap:
+    def adopt(self, node: "Node") -> None:
+        """Wire ``node``'s revision sink to this store (idempotent)."""
+        if node._col_sink is self:
             return
-        new_cap = max(n, 2 * cap)
-
-        def grown(arr, fill):
-            out = np.full(new_cap, fill, dtype=arr.dtype)
-            out[: len(arr)] = arr
-            return out
-
-        self.ranks = grown(self.ranks, -1)
-        self.power_w = grown(self.power_w, 0.0)
-        self.cap_w = grown(self.cap_w, np.nan)
-        self.power_rev = grown(self.power_rev, 0)
-        self.samples_total = grown(self.samples_total, 0)
-        self.dead = grown(self.dead, False)
-
-    def adopt(self, node: "Node", rank: int = -1) -> int:
-        """Assign ``node`` a column and wire its revision sink."""
-        existing = node._col_index if node._col_sink is self else -1
-        if existing >= 0:
-            return existing
-        idx = len(self.nodes)
-        self._grow_to(idx + 1)
-        self.nodes.append(node)
-        self.ranks[idx] = rank
-        self.power_rev[idx] = node.power_rev
         node._col_sink = self
-        node._col_index = idx
-        self._power_dirty.add(idx)
         self._ensure_hooks()
-        return idx
 
     def _ensure_hooks(self) -> None:
         if self._hooked:
@@ -520,17 +490,9 @@ class ColumnarNodeStore:
         tel.metrics.add_flush_hook(self.flush)
         self._hooked = True
 
-    # -- node-side sinks ------------------------------------------------
+    # -- node-side sink -------------------------------------------------
     def power_rev_changed(self, node: "Node") -> None:
         self.global_rev += 1
-        idx = node._col_index
-        self.power_rev[idx] = node.power_rev
-        self._power_dirty.add(idx)
-
-    def set_dead(self, rank: int, dead: bool) -> None:
-        hits = np.nonzero(self.ranks[: len(self.nodes)] == rank)[0]
-        for idx in hits:
-            self.dead[idx] = dead
 
     # -- charge uniformity ---------------------------------------------
     def accept_charge(self, charge_s: float) -> bool:
@@ -541,24 +503,9 @@ class ColumnarNodeStore:
             return True
         return charge_s == self._charge_value
 
-    # -- lazy refresh ---------------------------------------------------
-    def refresh(self) -> None:
-        """Recompute power/cap columns for mutated nodes."""
-        dirty = self._power_dirty
-        if not dirty:
-            return
-        self._power_dirty = set()
-        for idx in dirty:
-            node = self.nodes[idx]
-            self.power_w[idx] = node.total_power_w()
-            cap = None
-            if node.opal is not None:
-                cap = node.opal.node_cap_w
-            self.cap_w[idx] = np.nan if cap is None else float(cap)
-
     # -- deferred telemetry flush ---------------------------------------
-    def _on_accountant_charge(self, category: str) -> None:
-        if category != "monitor":
+    def _on_accountant_charge(self, category: Optional[str]) -> None:
+        if category is not None and category != "monitor":
             return
         from repro.telemetry import telemetry_of
 
@@ -587,7 +534,6 @@ class ColumnarNodeStore:
             for cols in self._groups:
                 cols.drain_charges(accountant)
                 cols.flush_gauges()
-            self.refresh()
             self._needs_flush = False
         finally:
             self._flushing = False

@@ -21,6 +21,7 @@ contract properties directly:
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Mapping, Optional
 
 #: Relative tolerance for the float water-filling arithmetic.
@@ -110,6 +111,9 @@ def split_site_budget(
 
         wn = normalize_weights(weights, names)
         eff = {c: wn[c] * float(demands[c]) for c in names}
+    # A subnormal fill weight is zero demand: dividing by it loses all
+    # precision, and the top-up below could never move a share.
+    eff = {c: w if w >= sys.float_info.min else 0.0 for c, w in eff.items()}
 
     pinned: Dict[str, float] = {}
     while True:

@@ -97,7 +97,6 @@ class _Shard:
         fault_plan: Optional[FaultPlan],
         monitor_interval_s: float,
         telemetry_enabled: bool,
-        columnar: bool,
     ) -> None:
         self.spec = spec
         self.sim = Simulator()
@@ -114,7 +113,6 @@ class _Shard:
             ),
             monitor_strategy=spec.monitor_strategy,
             monitor_interval_s=monitor_interval_s,
-            monitor_columnar=columnar,
             fault_plan=fault_plan,
             telemetry_enabled=telemetry_enabled,
             sim=self.sim,
@@ -210,7 +208,6 @@ def _make_shard(payload: dict) -> _Shard:
         fault_plan=None,
         monitor_interval_s=payload["monitor_interval_s"],
         telemetry_enabled=payload["telemetry_enabled"],
-        columnar=payload["columnar"],
     )
     for spec, when in payload["jobs"]:
         shard.expected_jobs += 1
@@ -275,7 +272,6 @@ class ShardedFederatedSite:
         backend: str = "inline",
         telemetry_enabled: bool = True,
         monitor_interval_s: float = 2.0,
-        columnar: bool = False,
     ) -> None:
         config.validate()
         if backend not in ("inline", "process"):
@@ -300,7 +296,6 @@ class ShardedFederatedSite:
         self.specs: Dict[str, ClusterSpec] = {s.name: s for s in config.clusters}
         self._monitor_interval_s = monitor_interval_s
         self._telemetry_enabled = telemetry_enabled
-        self._columnar = columnar
         self._now = 0.0
 
         streams = RandomStreams(seed=self.seed)
@@ -327,7 +322,6 @@ class ShardedFederatedSite:
                     fault_plans.get(spec.name),
                     monitor_interval_s,
                     telemetry_enabled,
-                    columnar,
                 )
                 for spec in config.clusters
             ]
@@ -498,7 +492,6 @@ class ShardedFederatedSite:
                 "cluster_seed": self._cluster_seeds[spec.name],
                 "monitor_interval_s": self._monitor_interval_s,
                 "telemetry_enabled": self._telemetry_enabled,
-                "columnar": self._columnar,
                 "jobs": list(self._job_queue[spec.name]),
                 "retune_times": [t for t, _ in self._pending_retunes],
             }

@@ -112,9 +112,8 @@ class Node:
         #: on it — equal revisions guarantee identical observable power.
         self.power_rev = 0
         #: Columnar sink, set by ColumnarNodeStore.adopt(); while set,
-        #: every revision bump is mirrored into the store's arrays.
+        #: every revision bump also bumps the store's global revision.
         self._col_sink = None
-        self._col_index = -1
         for dom in self._domain_list:
             dom._owner = self
 
@@ -161,10 +160,9 @@ class Node:
     def bump_power_rev(self) -> None:
         """Advance the power revision (every demand/cap mutation).
 
-        When a columnar store has adopted this node the new revision is
-        mirrored into its arrays so vectorized consumers (sampler
-        template scans, manager cap fan-out) see the change without
-        touching the node object again.
+        When a columnar store has adopted this node the store's global
+        revision moves too, so the next sampler tick rescans its
+        members for stale sample templates.
         """
         self.power_rev += 1
         sink = self._col_sink

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.columnar.store import columnar_store_of
 from repro.flux.instance import FluxInstance
 from repro.flux.module import RetryConfig
 from repro.monitor.client import PowerMonitorClient
@@ -40,8 +41,6 @@ class PowerMonitor:
     buffer_capacity: int = DEFAULT_CAPACITY
     strategy: str = "fanout"
     retry: Optional[RetryConfig] = field(default=None)
-    batch_sampling: bool = True
-    columnar: bool = False
 
     def detach(self) -> None:
         """Unload the monitor everywhere (the overhead experiment's off case)."""
@@ -62,11 +61,10 @@ class PowerMonitor:
         broker = self.instance.brokers[rank]
         if NodeAgentModule.name in broker.modules:
             broker.unload_module(NodeAgentModule.name)
-        agent = _agent_class(self.columnar)(
+        agent = NodeAgentModule(
             broker,
             sample_interval_s=self.sample_interval_s,
             buffer_capacity=self.buffer_capacity,
-            batch_sampling=self.batch_sampling,
         )
         broker.load_module(agent)
         self.node_agents[rank] = agent
@@ -75,71 +73,33 @@ class PowerMonitor:
         return agent
 
 
-def _agent_class(columnar: bool):
-    if columnar:
-        from repro.monitor.columnar_agent import ColumnarNodeAgent
-
-        return ColumnarNodeAgent
-    return NodeAgentModule
-
-
 def attach_monitor(
     instance: FluxInstance,
     sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
     buffer_capacity: int = DEFAULT_CAPACITY,
     strategy: str = "fanout",
     retry: Optional[RetryConfig] = None,
-    batch_sampling: bool = True,
-    columnar: bool = False,
+    columnar: Optional[bool] = None,
 ) -> PowerMonitor:
     """Load the flux-power-monitor modules across an instance.
 
     ``retry`` sets the per-node timeout/retry policy the aggregators
     use when a node agent stops answering (see docs/failures.md);
     None means the :class:`~repro.flux.module.RetryConfig` defaults.
-    ``batch_sampling`` selects the coalesced one-event-per-interval
-    sampling tick (default) versus one timer per node agent; outputs
-    are byte-identical (see docs/performance.md). ``columnar`` (implies
-    batch sampling) keeps per-rank samples implicit in the instance's
-    columnar store — the exascale path; again byte-identical, with
-    per-agent scalar fallback where exactness would not hold.
+    Samples live in the simulator's columnar store, with a per-agent
+    explicit-buffer fallback where byte-exactness needs it (see
+    docs/performance.md). ``columnar`` is accepted for callers written
+    against the earlier two-mode monitor and ignored.
     """
-    if columnar and not batch_sampling:
-        raise ValueError("columnar sampling requires batch_sampling=True")
-    if columnar:
-        from repro.columnar.store import columnar_store_of
-
-        store = columnar_store_of(instance.sim)
-        owner = getattr(store, "owner", None)
-        if owner is not None and owner is not instance:
-            # Two instances on one engine would collide in the store's
-            # rank-keyed dead mask; a federated site that wants columnar
-            # members must run sharded (one engine per cluster).
-            raise ValueError(
-                "columnar store on this engine already belongs to another "
-                "instance; use sharded federation (SiteConfig(sharded=True)) "
-                "to give each cluster its own engine"
-            )
-        store.owner = instance
-        for rank, broker in enumerate(instance.brokers):
-            if broker.node is not None:
-                store.adopt(broker.node, rank)
-
-        # Keep the store's dead-mask current off the same event stream
-        # the managers and the federation tier react on.
-        def _on_broker_event(msg) -> None:
-            if msg.topic == "broker.down":
-                store.set_dead(int(msg.payload["rank"]), True)
-            elif msg.topic == "broker.up":
-                store.set_dead(int(msg.payload["rank"]), False)
-
-        instance.brokers[0].subscribe("broker.", _on_broker_event)
+    store = columnar_store_of(instance.sim)
+    for broker in instance.brokers:
+        if broker.node is not None:
+            store.adopt(broker.node)
     node_agents = instance.load_module_on_all(
-        lambda broker: _agent_class(columnar)(
+        lambda broker: NodeAgentModule(
             broker,
             sample_interval_s=sample_interval_s,
             buffer_capacity=buffer_capacity,
-            batch_sampling=batch_sampling,
         )
     )
     if strategy == "tree":
@@ -159,6 +119,4 @@ def attach_monitor(
         buffer_capacity=buffer_capacity,
         strategy=strategy,
         retry=retry,
-        batch_sampling=batch_sampling,
-        columnar=columnar,
     )

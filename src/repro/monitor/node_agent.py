@@ -15,6 +15,7 @@ percentage matches the slowdown the apps actually experience.
 from __future__ import annotations
 
 from repro import variorum
+from repro.columnar.store import GroupColumns, columnar_of
 from repro.flux.broker import Broker
 from repro.flux.message import CachedSizeDict, Message, estimate_payload_bytes
 from repro.flux.module import Module
@@ -36,7 +37,18 @@ CLEAR_TOPIC = "power-monitor.clear"
 
 
 class NodeAgentModule(Module):
-    """Samples node power via Variorum into a circular buffer."""
+    """Samples node power via Variorum into a ring buffer.
+
+    The agent samples on the instance-wide
+    :class:`~repro.monitor.sampler.BatchSampler` tick. When the
+    simulator's columnar store has adopted its node and the exactness
+    preconditions hold (see :meth:`_enroll_columnar`), ``buffer`` is a
+    :class:`~repro.columnar.store.ColumnarRing` — a lazy view over the
+    sampler group's shared tick log — and the agent runs no per-tick
+    Python at all. Otherwise ``buffer`` is an explicit
+    :class:`~repro.monitor.buffer.CircularBuffer` filled by
+    :meth:`sample_in_batch`. Both produce byte-identical outputs.
+    """
 
     name = "power-monitor"
 
@@ -45,19 +57,18 @@ class NodeAgentModule(Module):
         broker: Broker,
         sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
         buffer_capacity: int = DEFAULT_CAPACITY,
-        batch_sampling: bool = True,
     ) -> None:
         if broker.node is None:
             raise ValueError("node agent requires a broker with hardware attached")
         super().__init__(broker)
         self.sample_interval_s = float(sample_interval_s)
         self.buffer = CircularBuffer(buffer_capacity)
-        self.samples_taken = 0
-        #: Batched mode registers with the instance-wide
-        #: :class:`~repro.monitor.sampler.BatchSampler` (one engine
-        #: event per interval for all agents); the legacy mode keeps a
-        #: per-agent timer. Outputs are byte-identical either way.
-        self.batch_sampling = bool(batch_sampling)
+        #: Columnar-side ring and sampler group while enrolled, else None.
+        self._ring = None
+        self._group = None
+        #: Samples taken into an explicit buffer (before enrolment or
+        #: after demotion); the ring counts the rest implicitly.
+        self._samples_scalar = 0
         #: Simulated time this agent started sampling; a query window
         #: opening earlier (e.g. after a crash/restart wiped the ring)
         #: is reported as partial even though the fresh buffer never
@@ -76,7 +87,6 @@ class NodeAgentModule(Module):
         self._plan = self._backend.plan_for(broker.node)
         self._g_occupancy = None
         self._g_dropped = None
-        self._c_samples = None
         self._c_queries = None
         # Wire-size of a query response with zero samples — the
         # estimator prices every leaf type at a fixed width, so a full
@@ -101,36 +111,29 @@ class NodeAgentModule(Module):
         self.register_service(STATUS_TOPIC, self._handle_status)
         self.register_service(CLEAR_TOPIC, self._handle_clear)
         # First sample at load time, then on the fixed grid.
-        if self.batch_sampling:
-            sampler_of(self.sim).register(self)
-        else:
-            self.add_timer(self.sample_interval_s, self._sample, start_delay=0.0)
+        sampler_of(self.sim).register(self)
 
     def on_unload(self) -> None:
-        if self.batch_sampling:
-            sampler_of(self.sim).unregister(self)
+        sampler_of(self.sim).unregister(self)
+
+    @property
+    def samples_taken(self) -> int:
+        ring = self._ring
+        if ring is not None:
+            return self._samples_scalar + ring.total_appended
+        return self._samples_scalar
 
     # ------------------------------------------------------------------
     # Sampling loop
     # ------------------------------------------------------------------
-    def _sample(self, _timer) -> None:
-        # Legacy per-agent timer path: identical body to the batched
-        # tick, except each sample increments the shared counter itself.
-        if self._c_samples is None:
-            self._c_samples = self.broker.telemetry.metrics.counter(
-                "monitor_samples_total",
-                help="Variorum samples appended to node-agent ring buffers",
-            )
-        self._c_samples.inc()
-        self.sample_in_batch(self.sim.now)
-
     def sample_in_batch(self, now: float) -> None:
-        """One sample, minus the shared-counter update the batch tick owns."""
+        """One explicit-buffer sample, minus the shared-counter update
+        the batch tick owns (columnar members never run this)."""
         buf = self.buffer
         buf.append(
             now, self._backend.sample_cached(self.broker.node, now, self._plan)
         )
-        self.samples_taken += 1
+        self._samples_scalar += 1
         self._set_buffer_gauges()
         # The per-sample collection cost — identical to the fraction
         # that slows co-located apps (node_overhead_fraction).
@@ -158,13 +161,52 @@ class NodeAgentModule(Module):
         self._g_occupancy.set(retained)
         self._g_dropped.set(buf.total_appended - retained)
 
+    # ------------------------------------------------------------------
+    # Columnar enrolment / demotion
+    # ------------------------------------------------------------------
     def _enroll_columnar(self, group) -> bool:
-        """Hook for the batch sampler: join ``group`` columnar-side.
+        """Join ``group`` columnar-side if that stays byte-exact.
 
-        The base agent always declines; ColumnarNodeAgent overrides
-        with the eligibility rules (see repro.monitor.columnar_agent).
+        Called by the batch sampler at registration. Anything below
+        keeps the agent on the explicit-buffer path, per agent:
+
+        * the node is not adopted by this simulator's columnar store;
+        * sensors are noisy (per-sample RNG draws: skipping sample
+          bodies would shift every later draw);
+        * the per-sample accountant charge differs from the store-wide
+          constant (deferred replay is exact only for equal addends);
+        * the group already ticked at this instant (the same-instant
+          catch-up sample runs the explicit body).
         """
-        return False
+        store = columnar_of(self.sim)
+        node = self.broker.node
+        if store is None or node._col_sink is not store:
+            return False
+        sensors = node.sensors
+        if sensors.noise_sigma_w > 0.0 and sensors._rng is not None:
+            return False
+        if not store.accept_charge(self._charge_s):
+            return False
+        if group.last_tick_t == self.sim.now:
+            return False
+        self._ring = self.buffer = GroupColumns.ensure(group, store).add(self)
+        self._group = group
+        return True
+
+    def _demote(self) -> None:
+        """Back to an explicit buffer with identical logical contents,
+        and (if still sampling) onto the group's explicit-buffer list."""
+        ring = self._ring
+        if ring is None:
+            return
+        group = self._group
+        self._samples_scalar += ring.total_appended
+        self.buffer = ring.to_circular_buffer()
+        self._ring = None
+        self._group = None
+        if self in group.columns.agents:
+            group.columns.remove(self)
+            group.agents.append(self)
 
     # ------------------------------------------------------------------
     # Crash recovery (see repro.lifecycle.snapshot)
@@ -185,9 +227,10 @@ class NodeAgentModule(Module):
         queries over earlier windows report partial data, exactly as
         after a crash/restart that lost the ring.
         """
+        self._demote()  # restored agents run on an explicit buffer
         t_loaded = state.get("t_loaded")
         self._t_loaded = self.sim.now if t_loaded is None else float(t_loaded)
-        self.samples_taken = int(state.get("samples_taken", 0))
+        self._samples_scalar = int(state.get("samples_taken", 0))
         self.buffer.restore_state(state.get("buffer") or {})
 
     # ------------------------------------------------------------------

@@ -1,22 +1,27 @@
 """Batched sampling: one engine event per interval for all node agents.
 
-The legacy layout gives every node agent its own periodic timer, so a
-792-node instance pushes 792 heap events through the engine every 2 s
-window just to run 792 independent, purely-local sample bodies. This
-coordinator coalesces them: agents sharing a tick grid register into
-one group, and a single periodic event walks the group each interval.
+Each node agent samples on its own fixed grid (``first, first +
+period, ...``), but a 792-node instance must not push 792 heap events
+through the engine every 2 s window just to run 792 purely-local
+sample bodies. This coordinator coalesces them: agents sharing a tick
+grid register into one group, and a single periodic event walks the
+group each interval. Members enrolled in the columnar store
+(:mod:`repro.columnar`) cost O(1) per tick together; the rest keep an
+explicit ring buffer and run :meth:`NodeAgentModule.sample_in_batch`.
 
-Determinism invariants (docs/performance.md has the full argument):
+Determinism invariants (docs/performance.md has the full argument);
+the reference is one independent periodic timer per agent, which the
+golden fixtures were recorded with:
 
 * **Grouping is exact, not approximate.** A group key is the pair
-  ``(interval, first_tick_time)``. Only agents whose legacy timers
-  would have produced bitwise-identical nominal grids (same float
+  ``(interval, first_tick_time)``. Only agents whose own timers would
+  have produced bitwise-identical nominal grids (same float
   accumulation ``first + period + period + ...``) ever share a group;
   an agent restarted mid-interval gets its own group on its own grid,
   exactly like its own timer.
 * **In-group order is registration order**, which is the sequence
-  order the agents' individual timers were created in — so same-tick
-  samples run in the same relative order as the per-node events did.
+  order the agents' individual timers would have been created in — so
+  same-tick samples run in the same relative order as per-node events.
 * **Sample bodies are local.** They append to the node's ring buffer,
   update per-rank gauges and charge the overhead accountant; they
   never send messages, schedule events or draw cross-node RNG, so
@@ -28,7 +33,7 @@ Determinism invariants (docs/performance.md has the full argument):
 
 A registration that arrives at an instant whose group tick has already
 fired this same instant (e.g. an agent reloaded by a same-time event
-scheduled after the tick) gets a one-off catch-up sample — the legacy
+scheduled after the tick) gets a one-off catch-up sample — a per-agent
 timer would likewise have fired late, after the current event.
 """
 
@@ -67,7 +72,7 @@ class _SampleGroup:
         self.key = (interval, first_time)
         self.agents: List["NodeAgentModule"] = []
         #: Columnar members (a ``repro.columnar`` GroupColumns), or
-        #: None while every member is on the scalar path.
+        #: None while every member keeps an explicit buffer.
         self.columns = None
         self.last_tick_t: Optional[float] = None
         self._sampler = sampler
@@ -103,7 +108,7 @@ class BatchSampler:
 
     def samples_counter(self, agent: "NodeAgentModule"):
         """The shared samples counter, resolved lazily so the metric
-        family registers at the same moment the per-agent path would."""
+        family registers at the first tick, as it always has."""
         if self._samples_counter is None:
             self._samples_counter = agent.broker.telemetry.metrics.counter(
                 "monitor_samples_total",

@@ -184,7 +184,6 @@ def run_scenario(
         manager_config=manager_config,
         monitor_strategy=scenario.monitor_strategy,
         fault_plan=scenario.fault_plan(),
-        monitor_columnar=scenario.columnar,
         tenancy=tenancy_config,
     )
     ctx = SimtestContext(cluster, scenario)

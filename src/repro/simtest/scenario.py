@@ -7,8 +7,8 @@ come from two places:
 
 * :func:`generate_scenario` draws one from ``simkernel.rng`` substreams
   (``simtest/topology``, ``simtest/jobs``, ``simtest/budget``,
-  ``simtest/faults``, ``simtest/columnar``, ``simtest/serving``,
-  ``simtest/tenancy``) rooted at a single integer seed — the same seed always yields the same
+  ``simtest/faults``, ``simtest/serving``, ``simtest/tenancy``) rooted
+  at a single integer seed — the same seed always yields the same
   scenario, on any platform;
 * :func:`Scenario.from_dict` reloads a shrunken reproducer artifact
   (see :mod:`repro.simtest.shrink`).
@@ -190,10 +190,6 @@ class Scenario:
     #: Simulated seconds to keep running after the last job completes
     #: (lets telemetry windows close and restarts land).
     drain_s: float = 4.0
-    #: Keep per-rank samples in the columnar store (:mod:`repro.columnar`)
-    #: — the exascale hot path, contractually equivalent to the scalar
-    #: one, so the invariant checkers fuzz it too.
-    columnar: bool = False
     #: Drive a seeded serving-API client mix against the cluster while
     #: it runs (None: no serving tier attached).
     serving: Optional[ServingMix] = None
@@ -217,7 +213,6 @@ class Scenario:
             f"jobs={len(self.jobs)} faults={len(self.fault_events)}"
             f"{'+link' if self.link_faults else ''} "
             f"budget_steps={len(self.budget_schedule)}"
-            f"{' columnar' if self.columnar else ''}"
             f"{' serving' if self.serving is not None else ''}"
             f"{self._describe_tenancy()}"
         )
@@ -249,7 +244,6 @@ class Scenario:
             "fault_events": [asdict(ev) for ev in self.fault_events],
             "link_faults": None,
             "drain_s": self.drain_s,
-            "columnar": self.columnar,
         }
         if self.link_faults is not None:
             lf = asdict(self.link_faults)
@@ -267,6 +261,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "Scenario":
+        """Inverse of :meth:`to_dict`. Unknown keys are ignored, so
+        reproducers written by older versions (e.g. with the retired
+        ``columnar`` flag) still replay."""
         link = None
         if d.get("link_faults") is not None:
             lf = dict(d["link_faults"])
@@ -306,7 +303,6 @@ class Scenario:
             ),
             link_faults=link,
             drain_s=float(d.get("drain_s", 4.0)),
-            columnar=bool(d.get("columnar", False)),
             serving=(
                 None if d.get("serving") is None
                 else ServingMix.from_dict(d["serving"])
@@ -357,9 +353,6 @@ class GeneratorConfig:
     p_link_faults: float = 0.2
     max_crashes: int = 2
     max_hangs: int = 1
-    #: Probability the monitor keeps samples in the columnar store —
-    #: often enough that the 100-seed batch fuzzes the exascale path.
-    p_columnar: float = 0.25
     #: Probability the scenario carries a serving-API client mix (the
     #: query-storm campaign mode; see :class:`ServingMix`).
     p_serving: float = 0.2
@@ -385,10 +378,8 @@ def generate_scenario(seed: int, cfg: Optional[GeneratorConfig] = None) -> Scena
     jobs_rng = streams.get("simtest/jobs")
     budget_rng = streams.get("simtest/budget")
     faults_rng = streams.get("simtest/faults")
-    # Own substream: turning the columnar knob on or off never perturbs
-    # the topology/job/fault draws existing seeds produce.
-    columnar_rng = streams.get("simtest/columnar")
-    # Likewise for the serving campaign mode.
+    # Own substream: turning the serving campaign mode on or off never
+    # perturbs the topology/job/fault draws existing seeds produce.
     serving_rng = streams.get("simtest/serving")
     # And the tenant mix: turning p_tenancy up or down leaves every
     # other dimension of existing seeds untouched.
@@ -520,7 +511,6 @@ def generate_scenario(seed: int, cfg: Optional[GeneratorConfig] = None) -> Scena
         budget_schedule=budget_schedule,
         fault_events=fault_events,
         link_faults=link,
-        columnar=float(columnar_rng.random()) < cfg.p_columnar,
         serving=serving,
         tenancy=tenancy,
     )

@@ -363,11 +363,16 @@ class MetricsRegistry:
     # Introspection
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        """Registered family names, sorted."""
+        """Registered family names, sorted (deferred writers flushed)."""
+        self.flush()
         return sorted(self._families)
 
     def series_for(self, name: str) -> List[Metric]:
         """Every labeled series of one family, in label order."""
+        self.flush()
+        return self._series_for(name)
+
+    def _series_for(self, name: str) -> List[Metric]:
         return [m for (n, _k), m in sorted(self._series.items()) if n == name]
 
     def reset(self) -> None:
@@ -377,14 +382,13 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-compatible dump of every family and series."""
-        self.flush()
         out: Dict[str, Any] = {"time_s": self.clock(), "metrics": {}}
         for name in self.names():
             kind, help, _buckets = self._families[name]
             out["metrics"][name] = {
                 "type": kind,
                 "help": help,
-                "series": [m._snapshot() for m in self.series_for(name)],
+                "series": [m._snapshot() for m in self._series_for(name)],
             }
         return out
 
@@ -402,14 +406,13 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (HELP/TYPE + samples)."""
-        self.flush()
         lines: List[str] = []
         for name in self.names():
             kind, help, _buckets = self._families[name]
             if help:
                 lines.append(f"# HELP {name} {help}")
             lines.append(f"# TYPE {name} {kind}")
-            for m in self.series_for(name):
+            for m in self._series_for(name):
                 key = m._key
                 if isinstance(m, Histogram):
                     for bound, cum in m.cumulative_buckets():
@@ -450,7 +453,7 @@ class MetricsRegistry:
         for name in self.names():
             kind, help, _buckets = self._families[name]
             lines.append(f"{name} ({kind}){': ' + help if help else ''}")
-            for m in self.series_for(name):
+            for m in self._series_for(name):
                 label_str = _render_labels(m._key) or "-"
                 if isinstance(m, Histogram):
                     mean = m.mean

@@ -68,7 +68,8 @@ class OverheadAccountant:
         self._in_hook = False
 
     def add_pre_charge_hook(self, hook) -> None:
-        """Run ``hook(category)`` before each charge is applied.
+        """Run ``hook(category)`` before each charge is applied, and
+        before each read (``category=None`` settles every category).
 
         Hooks may themselves call :meth:`charge` (to replay deferred
         work); re-entrant charges skip the hooks.
@@ -76,10 +77,8 @@ class OverheadAccountant:
         if hook not in self._pre_charge_hooks:
             self._pre_charge_hooks.append(hook)
 
-    def charge(self, category: str, seconds: float) -> None:
-        """Attribute ``seconds`` of simulated work to ``category``."""
-        if not self.enabled:
-            return
+    def _settle(self, category: Optional[str]) -> None:
+        """Let deferred chargers land their earlier work first."""
         if self._pre_charge_hooks and not self._in_hook:
             self._in_hook = True
             try:
@@ -87,6 +86,12 @@ class OverheadAccountant:
                     hook(category)
             finally:
                 self._in_hook = False
+
+    def charge(self, category: str, seconds: float) -> None:
+        """Attribute ``seconds`` of simulated work to ``category``."""
+        if not self.enabled:
+            return
+        self._settle(category)
         if seconds < 0:
             raise ValueError(f"cannot charge negative time ({seconds})")
         self._seconds[category] = self._seconds.get(category, 0.0) + seconds
@@ -116,13 +121,7 @@ class OverheadAccountant:
             return
         if seconds < 0:
             raise ValueError(f"cannot charge negative time ({seconds})")
-        if self._pre_charge_hooks and not self._in_hook:
-            self._in_hook = True
-            try:
-                for hook in list(self._pre_charge_hooks):
-                    hook(category)
-            finally:
-                self._in_hook = False
+        self._settle(category)
         self._seconds[category] = repeat_add(
             self._seconds.get(category, 0.0), seconds, count
         )
@@ -139,9 +138,11 @@ class OverheadAccountant:
 
     def seconds(self, category: str) -> float:
         """Total simulated seconds charged to ``category`` so far."""
+        self._settle(category)
         return self._seconds.get(category, 0.0)
 
     def categories(self) -> List[str]:
+        self._settle(None)
         return sorted(self._seconds)
 
     def reset(self) -> None:

@@ -11,8 +11,8 @@ adds that layer without touching the anonymous path:
 * :mod:`~repro.tenancy.accounting` — exponentially-decaying usage
   ledger and effective-weight feedback;
 * :mod:`~repro.tenancy.fairshare` — pure weighted water-fills
-  (``split_budget_weighted`` / ``split_site_budget_weighted``),
-  bitwise-identical to the unweighted splits at equal weights;
+  (``split_budget_weighted``; the site level is ``split_site_budget``
+  with ``weights=``), bitwise-identical to the unweighted splits at equal weights;
 * :mod:`~repro.tenancy.admission` — deterministic admit/queue/reject
   with structured reasons;
 * :mod:`~repro.tenancy.coordinator` — wires it all onto a live
@@ -42,7 +42,6 @@ from repro.tenancy.fairshare import (
     fair_floor_w,
     normalize_weights,
     split_budget_weighted,
-    split_site_budget_weighted,
 )
 from repro.tenancy.model import (
     UNAFFILIATED,
@@ -71,5 +70,4 @@ __all__ = [
     "fair_floor_w",
     "normalize_weights",
     "split_budget_weighted",
-    "split_site_budget_weighted",
 ]

@@ -23,16 +23,14 @@ Design rules the Hypothesis suite pins directly
   proportional rate ``budget · wn_j / W`` per node (capped at peak):
   pinning saturated jobs only ever *raises* the remaining pool's rate.
 
-Everything is pure arithmetic over plain dicts; the vectorized twins
-live in :mod:`repro.columnar.ops` and are bitwise-equal by the same
-sequential-reduction discipline the columnar tier already uses.
+Everything is pure arithmetic over plain dicts. The site-level
+weighted split is :func:`~repro.federation.rebalance.split_site_budget`
+itself, called with ``weights=``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
-
-from repro.federation.rebalance import split_site_budget
 
 
 def normalize_weights(
@@ -150,24 +148,3 @@ def fair_floor_w(
         else:
             floors[j] = min(cap, (float(budget_w) * wn[j] / total_wn) * job_nodes[j])
     return floors
-
-
-def split_site_budget_weighted(
-    site_budget_w: float,
-    demands: Mapping[str, float],
-    weights: Optional[Mapping[str, float]] = None,
-    floors: Optional[Mapping[str, float]] = None,
-    ceilings: Optional[Mapping[str, Optional[float]]] = None,
-) -> Dict[str, float]:
-    """Fairshare-weighted :func:`~repro.federation.rebalance.split_site_budget`.
-
-    The effective fill weight of cluster ``c`` becomes
-    ``wn_c × demand_c`` — a high-priority site drains proportionally
-    more of the budget, still clamped to its floor/ceiling band. Like
-    the unweighted split, the full budget is always distributed (equal
-    split when every demand is zero); ``weights=None`` (or all equal)
-    is bitwise identical to the unweighted split.
-    """
-    return split_site_budget(
-        site_budget_w, demands, floors=floors, ceilings=ceilings, weights=weights
-    )

@@ -18,7 +18,7 @@ pins the batched-tick catch-up edge case.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.cluster import PowerManagedCluster
 from repro.faults import FaultEvent, FaultPlan
@@ -35,20 +35,8 @@ SCENARIOS: Dict[str, Dict[str, object]] = {
 }
 
 
-def run_scenario(
-    strategy: str,
-    faults: bool,
-    batch_sampling: Optional[bool] = None,
-    columnar: Optional[bool] = None,
-) -> Tuple[str, str]:
-    """Run one scenario; return ``(csv_blob, prometheus_text)``.
-
-    ``batch_sampling=None`` uses the monitor's default sampling mode;
-    True/False force the batched tick or the legacy per-node timers.
-    ``columnar=True`` keeps per-rank samples in the columnar store
-    (:mod:`repro.columnar`) — the exascale path, contractually
-    byte-identical to the scalar one.
-    """
+def run_scenario(strategy: str, faults: bool) -> Tuple[str, str]:
+    """Run one scenario; return ``(csv_blob, prometheus_text)``."""
     plan = None
     if faults:
         plan = FaultPlan(
@@ -57,11 +45,6 @@ def run_scenario(
                 FaultEvent(t=16.0, kind="restart", rank=5),
             ]
         )
-    kwargs = {}
-    if batch_sampling is not None:
-        kwargs["monitor_batch_sampling"] = batch_sampling
-    if columnar is not None:
-        kwargs["monitor_columnar"] = columnar
     cluster = PowerManagedCluster(
         platform="lassen",
         n_nodes=16,
@@ -71,7 +54,6 @@ def run_scenario(
         ),
         fault_plan=plan,
         monitor_strategy=strategy,
-        **kwargs,
     )
     jobs = [
         cluster.submit(Jobspec(app="gemm", nnodes=8, params={"work_scale": 2.0})),

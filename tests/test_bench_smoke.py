@@ -45,6 +45,8 @@ def test_bench_quick_writes_schema_valid_artifact(tmp_path, capsys):
     # The exascale sweeps run columnar on this tree and record it.
     assert all(r["params"]["columnar"] is True for r in sweeps.values())
     assert all(r["metric"] == "node_samples_per_s" for r in sweeps.values())
+    (policy,) = [r for r in data["results"] if r["benchmark"] == "table4_policy"]
+    assert policy["params"]["n_jobs"] > 0
     # The artifact is plain JSON (round-trips through json module).
     assert json.loads(path.read_text())["schema"] == "repro-bench/1"
     out = capsys.readouterr().out

@@ -1,17 +1,15 @@
-"""Hypothesis pins: vectorized hot paths equal their scalar references.
+"""Hypothesis pins: the columnar sampling path equals its scalar reference.
 
-The columnar store (ISSUE 8) is only allowed to exist because every
-vectorized twin is *bitwise* equal to the scalar code it replaces:
+The columnar store may only stand in for explicit per-node ring buffers
+because every shortcut it takes is *bitwise* equal to the work it
+skips:
 
-* :func:`repro.columnar.ops.split_budget_np` /
-  :func:`~repro.columnar.ops.split_site_budget_np` /
-  :func:`~repro.columnar.ops.per_node_share_np` vs the pure scalar
-  split functions, element for element on random shapes;
 * :func:`repro.telemetry.metrics.repeat_add` (the bulk replay of
   deferred accountant charges) vs the sequential ``+=`` loop;
-* vectorized sample generation: a whole-machine job-power query under
-  ``columnar=True`` returns payloads identical to the scalar agents',
-  including across a mid-window power mutation (template rebuild).
+* implicit ring contents: a whole-machine job-power query returns
+  payloads identical to the same run with every agent demoted to an
+  explicit buffer (the snapshot-restore fallback), including across a
+  mid-window power mutation (template rebuild).
 """
 
 from __future__ import annotations
@@ -22,100 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.ops import (
-    per_node_share_np,
-    split_budget_np,
-    split_site_budget_np,
-)
-from repro.federation.rebalance import split_site_budget
-from repro.manager.policies.proportional import per_node_share, split_budget
 from repro.telemetry.metrics import repeat_add
-
-# ---------------------------------------------------------------------------
-# split_budget / per_node_share
-# ---------------------------------------------------------------------------
-
-budgets = st.floats(0.0, 5e6, allow_nan=False, allow_infinity=False)
-peaks = st.floats(1.0, 5000.0, allow_nan=False, allow_infinity=False)
-
-
-@given(
-    budget=budgets,
-    peak=peaks,
-    job_nodes=st.dictionaries(
-        st.integers(1, 10_000), st.integers(0, 800), max_size=32
-    ),
-)
-def test_split_budget_np_matches_scalar(budget, peak, job_nodes):
-    scalar = split_budget(budget, job_nodes, peak)
-    vector = split_budget_np(budget, job_nodes, peak)
-    assert vector == scalar  # exact float equality, key for key
-
-
-@given(
-    budget=budgets,
-    peak=peaks,
-    active=st.lists(st.integers(1, 100_000), min_size=1, max_size=64),
-)
-def test_per_node_share_np_matches_scalar(budget, peak, active):
-    vector = per_node_share_np(budget, active, peak)
-    for i, n in enumerate(active):
-        assert float(vector[i]) == per_node_share(budget, n, peak)
-
-
-# ---------------------------------------------------------------------------
-# split_site_budget
-# ---------------------------------------------------------------------------
-
-_names = st.lists(
-    st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "zeta"]),
-    min_size=1,
-    max_size=6,
-    unique=True,
-)
-
-
-@st.composite
-def site_cases(draw):
-    names = draw(_names)
-    budget = draw(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
-    demands = {
-        c: draw(st.floats(0.0, 4e5, allow_nan=False, allow_infinity=False))
-        for c in names
-    }
-    floors = None
-    if draw(st.booleans()):
-        # Floors that are satisfiable by construction: carve fractions
-        # of the budget so their sum stays below it.
-        remaining = budget
-        floors = {}
-        for c in names:
-            frac = draw(st.floats(0.0, 0.9))
-            floors[c] = remaining * frac / len(names)
-            remaining -= floors[c]
-    ceilings = None
-    if draw(st.booleans()):
-        ceilings = {}
-        for c in names:
-            if draw(st.booleans()):
-                lo = (floors or {}).get(c, 0.0)
-                ceilings[c] = lo + draw(st.floats(0.0, 5e5))
-            else:
-                ceilings[c] = None
-    return budget, demands, floors, ceilings
-
-
-@given(case=site_cases())
-def test_split_site_budget_np_matches_scalar(case):
-    budget, demands, floors, ceilings = case
-    scalar = split_site_budget(budget, demands, floors, ceilings)
-    vector = split_site_budget_np(budget, demands, floors, ceilings)
-    assert set(vector) == set(scalar)
-    for name in scalar:
-        assert vector[name] == scalar[name], (
-            f"{name}: {vector[name]!r} != {scalar[name]!r}"
-        )
-
 
 # ---------------------------------------------------------------------------
 # repeat_add (bulk deferred-charge replay)
@@ -147,7 +52,7 @@ def test_repeat_add_crosses_chunk_boundary():
 
 
 # ---------------------------------------------------------------------------
-# vectorized sample generation == scalar agents, through a real query
+# columnar rings == explicit buffers, through a real query
 # ---------------------------------------------------------------------------
 
 
@@ -158,7 +63,9 @@ def _whole_machine_query(columnar: bool, n_nodes: int, platform: str,
     from repro.monitor.root_agent import GET_JOB_POWER_TOPIC
 
     inst = FluxInstance(platform=platform, n_nodes=n_nodes, seed=11)
-    attach_monitor(inst, sample_interval_s=2.0, columnar=columnar)
+    monitor = attach_monitor(inst, sample_interval_s=2.0)
+    if not columnar:
+        _demote_everywhere(monitor)
     # A mid-window power mutation forces a segment/template rebuild on
     # the columnar side (and a template invalidation on the scalar one).
     first = inst.brokers[0].node
@@ -178,12 +85,25 @@ def _whole_machine_query(columnar: bool, n_nodes: int, platform: str,
     while not fut.triggered:
         if not inst.sim.step():
             raise RuntimeError("drained before query completed")
-    payload = fut.value
-    # The columnar side carries a lazy ColumnarSamples view; materialise
-    # both sides so dict equality compares the actual sample contents.
-    for node in payload["nodes"]:
-        node["samples"] = list(node["samples"])
-    return payload
+    assert all(
+        (agent._ring is not None) == columnar for agent in monitor.node_agents
+    )
+    return fut.value
+
+
+def _demote_everywhere(monitor) -> None:
+    """Put every agent, and every agent reloaded later, on an explicit
+    buffer through the snapshot-restore demotion path."""
+    for agent in monitor.node_agents:
+        agent._demote()
+    reload_agent = monitor.reload_agent
+
+    def reload_scalar(rank):
+        agent = reload_agent(rank)
+        agent._demote()
+        return agent
+
+    monitor.reload_agent = reload_scalar
 
 
 @settings(max_examples=10, deadline=None)
@@ -196,12 +116,14 @@ def test_columnar_query_equals_scalar_query(n_nodes, platform, mutate_at):
     window = 20.0
     scalar = _whole_machine_query(False, n_nodes, platform, mutate_at, window)
     columnar = _whole_machine_query(True, n_nodes, platform, mutate_at, window)
-    assert columnar == scalar  # full payload: every rank, every sample
+    # Full payload, every rank, every sample: the columnar side carries
+    # lazy ColumnarSamples views, which compare equal to sample lists.
+    assert columnar == scalar
 
 
 @pytest.mark.parametrize("platform", ["lassen", "elcapitan"])
 def test_columnar_query_equality_with_restart(platform):
-    """Crash/restart (dead-mask + ring freeze) keeps payload equality."""
+    """Crash/restart (ring freeze, fresh agent) keeps payload equality."""
     from repro.cluster import PowerManagedCluster
     from repro.faults import FaultEvent, FaultPlan
     from repro.flux.jobspec import Jobspec
@@ -223,11 +145,36 @@ def test_columnar_query_equality_with_restart(platform):
                     FaultEvent(t=14.0, kind="restart", rank=3),
                 ]
             ),
-            monitor_columnar=columnar,
         )
+        if not columnar:
+            _demote_everywhere(cluster.monitor)
         job = cluster.submit(Jobspec(app="gemm", nnodes=6))
         cluster.run_until_complete(timeout_s=1_000_000)
         cluster.run_for(4.0)
         return cluster.monitor.client.fetch(job.jobid, timeout_s=300.0).to_csv()
 
     assert run(True) == run(False)
+
+
+def test_columnar_samples_compare_as_a_sequence():
+    """A ring query's lazy view equals the explicit path's sample list,
+    so in-process payloads compare equal whichever path served them."""
+    from repro.flux.instance import FluxInstance
+    from repro.monitor.module import attach_monitor
+
+    inst = FluxInstance(platform="lassen", n_nodes=1, seed=2)
+    monitor = attach_monitor(inst, sample_interval_s=2.0)
+    inst.run_for(7.0)
+    (agent,) = monitor.node_agents
+    samples, _complete = agent.buffer.range(0.0, 7.0)
+    listed = list(samples)
+    assert len(listed) == 4
+    assert samples == listed and listed == samples
+    assert samples == tuple(listed)
+    assert samples == agent.buffer.range(0.0, 7.0)[0]
+    assert samples != listed[:-1] and samples != listed[1:] + listed[:1]
+    empty, _ = agent.buffer.range(100.0, 200.0)
+    assert empty == [] and [] == empty and empty != samples
+    assert samples != "not a sequence"
+    with pytest.raises(TypeError):
+        hash(samples)

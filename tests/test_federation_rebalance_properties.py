@@ -179,3 +179,16 @@ def test_stranded_budget_topped_up():
     )
     assert math.isclose(sum(shares.values()), 28_967.5, rel_tol=1e-9)
     assert shares["c1"] == 14_752.1
+
+
+def test_subnormal_demand_terminates_and_conserves():
+    """A subnormal demand (found by derandomized Hypothesis) used to
+    hang the top-up: every ``leftover * weight / total`` underflowed
+    to 0, so no pass moved a watt. It now counts as zero demand."""
+    shares = split_site_budget(1.25, {"alpha": 0.0, "beta": 5e-324})
+    assert shares == {"alpha": 0.625, "beta": 0.625}
+    weighted = split_site_budget(
+        1.25, {"alpha": 0.0, "beta": 5e-324}, weights={"beta": 2.0}
+    )
+    assert weighted == shares
+

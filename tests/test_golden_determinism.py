@@ -5,7 +5,9 @@ engine (dataclass heap events, one sample timer per node, payload sizes
 re-walked per hop). The optimized path must emit *byte-identical* CSV
 telemetry and Prometheus metric exports for the same seeds — including
 runs with a crash/restart fault whose restart lands exactly on the
-sampling grid, and both aggregation strategies.
+sampling grid, and both aggregation strategies. The run samples through
+the columnar store (the monitor's only sampling path), so its deferred
+gauges, bulk charge replay and implicit rings are pinned here too.
 """
 
 from __future__ import annotations
@@ -25,18 +27,3 @@ def test_golden_byte_identity(name):
     with open(prom_path) as fh:
         assert prom == fh.read(), f"metrics export diverged from golden {name}"
 
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_byte_identity_columnar(name):
-    """The columnar store (ISSUE 8) rides the same byte contract.
-
-    Deferred gauges, bulk charge replay and vectorised sampling must
-    be observationally invisible: the same fixtures, byte for byte.
-    """
-    spec = SCENARIOS[name]
-    csv_blob, prom = run_scenario(spec["strategy"], spec["faults"], columnar=True)
-    csv_path, prom_path = fixture_paths(name)
-    with open(csv_path) as fh:
-        assert csv_blob == fh.read(), f"columnar CSV diverged from golden {name}"
-    with open(prom_path) as fh:
-        assert prom == fh.read(), f"columnar metrics diverged from golden {name}"

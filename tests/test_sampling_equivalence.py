@@ -1,16 +1,8 @@
 """Equivalence and pricing-identity pins for the batched hot path.
 
-Three families of invariants back the ISSUE-3 perf work:
-
-* **Sampling-mode equivalence** — the batched one-event-per-interval
-  tick and the legacy per-node timers must produce byte-identical job
-  CSVs and identical telemetry exports (counter-for-counter) on the
-  seeded 16-node scenarios, for both aggregation strategies, with and
-  without faults. The batched mode is pinned against the golden
-  fixtures by ``test_golden_determinism``; here the legacy mode is
-  pinned against the same fixtures, which makes the two modes equal to
-  each other by transitivity (and keeps this file at one run per
-  scenario instead of two).
+Two families of invariants back the ISSUE-3 perf work (the sampling
+path itself is pinned against the golden fixtures by
+``test_golden_determinism``):
 
 * **RNG stream identity** — vectorized draws (``Generator.normal`` /
   ``standard_normal`` with a ``size``) fill the stream sequentially,
@@ -37,26 +29,6 @@ from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
 from repro.monitor.root_agent import _subtree_query
 from repro.variorum.backends import get_backend
-
-from tests.golden_scenarios import SCENARIOS, fixture_paths, run_scenario
-
-
-# ---------------------------------------------------------------------------
-# Batched vs legacy sampling: byte-identical outputs
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_legacy_timers_match_goldens(name):
-    """Per-node timers reproduce the goldens the batched tick matches."""
-    spec = SCENARIOS[name]
-    csv_blob, prom = run_scenario(
-        spec["strategy"], spec["faults"], batch_sampling=False
-    )
-    csv_path, prom_path = fixture_paths(name)
-    with open(csv_path) as fh:
-        assert csv_blob == fh.read(), f"legacy-timer CSV diverged on {name}"
-    with open(prom_path) as fh:
-        assert prom == fh.read(), f"legacy-timer metrics diverged on {name}"
 
 
 # ---------------------------------------------------------------------------

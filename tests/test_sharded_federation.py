@@ -176,10 +176,3 @@ def test_process_backend_rejects_late_submissions():
             site.submit("alpha", Jobspec(app="gemm", nnodes=1))
     finally:
         site.close()
-
-
-def test_columnar_sharded_site_matches_scalar_digest():
-    """Columnar monitor state inside each shard leaves the digest fixed."""
-    scalar = _run(ShardedFederatedSite(_config(), seed=9))
-    columnar = _run(ShardedFederatedSite(_config(), seed=9, columnar=True))
-    assert columnar.site_digest() == scalar.site_digest()

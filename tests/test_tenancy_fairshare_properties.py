@@ -12,9 +12,6 @@ The contract of :func:`repro.tenancy.fairshare.split_budget_weighted`
   own allocation;
 * **floor** — every job receives at least its
   :func:`~repro.tenancy.fairshare.fair_floor_w` entitlement;
-* **numpy twins** — ``split_budget_weighted_np`` and the weighted
-  ``split_site_budget_np`` are element-for-element ``==`` equal to the
-  scalar code on random shapes;
 * **decay/effective-weight bounds** — the accounting primitives stay
   inside their documented ranges.
 """
@@ -23,11 +20,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar.ops import split_budget_weighted_np, split_site_budget_np
 from repro.federation.rebalance import split_site_budget
 from repro.manager.policies.proportional import split_budget
 from repro.tenancy.accounting import decay_factor, effective_weight
@@ -35,7 +30,6 @@ from repro.tenancy.fairshare import (
     fair_floor_w,
     normalize_weights,
     split_budget_weighted,
-    split_site_budget_weighted,
 )
 
 settings.register_profile("repro", derandomize=True, max_examples=200)
@@ -117,19 +111,6 @@ def test_floor_respected(inputs):
         )
 
 
-@given(split_inputs())
-def test_numpy_twin_exact(inputs):
-    """The vectorized twin is element-for-element ``==`` equal."""
-    budget, job_nodes, peak, weights = inputs
-    scalar = split_budget_weighted(budget, job_nodes, peak, weights)
-    vector = split_budget_weighted_np(budget, job_nodes, peak, weights)
-    assert list(scalar) == list(vector)
-    for jobid in scalar:
-        assert scalar[jobid] == vector[jobid], (
-            jobid, scalar[jobid], vector[jobid],
-        )
-
-
 # ---------------------------------------------------------------------------
 # Site-level weighted split
 # ---------------------------------------------------------------------------
@@ -152,9 +133,9 @@ def test_site_equal_weights_bitwise_parity(inputs, w):
     """Weighted site split with None/equal weights == unweighted split."""
     budget, demands, _ = inputs
     reference = split_site_budget(budget, demands)
-    assert split_site_budget_weighted(budget, demands, None) == reference
+    assert split_site_budget(budget, demands, weights=None) == reference
     equal = {c: w for c in demands}
-    assert split_site_budget_weighted(budget, demands, equal) == reference
+    assert split_site_budget(budget, demands, weights=equal) == reference
 
 
 @given(site_inputs())
@@ -163,24 +144,13 @@ def test_site_weighted_conservation(inputs):
     documented contract: equal split when every demand is zero, never a
     stranded watt), and every share is non-negative."""
     budget, demands, weights = inputs
-    shares = split_site_budget_weighted(budget, demands, weights)
+    shares = split_site_budget(budget, demands, weights=weights)
     assert set(shares) == set(demands)
     assert math.isclose(
         sum(shares.values()), budget, rel_tol=1e-9, abs_tol=EPS
     )
     for share in shares.values():
         assert share >= 0.0
-
-
-@given(site_inputs())
-def test_site_numpy_twin_exact(inputs):
-    """The weighted site split's vectorized twin is ``==`` equal."""
-    budget, demands, weights = inputs
-    scalar = split_site_budget_weighted(budget, demands, weights)
-    vector = split_site_budget_np(budget, demands, weights=weights)
-    assert list(scalar) == list(vector)
-    for name in scalar:
-        assert scalar[name] == vector[name]
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +207,8 @@ def test_rejects_negative_nodes():
 def test_empty_inputs():
     assert split_budget_weighted(100.0, {}, 50.0) == {}
     assert fair_floor_w(100.0, {}, 50.0) == {}
-    assert split_site_budget_weighted(100.0, {}) == {}
+    assert split_site_budget(100.0, {}) == {}
     # Zero total nodes mirrors split_budget's empty result exactly.
     assert split_budget(100.0, {1: 0}, 50.0) == {}
     assert split_budget_weighted(100.0, {1: 0}, 50.0, {1: 2.0}) == {}
-    assert split_budget_weighted_np(100.0, {1: 0}, 50.0) == {}
     assert fair_floor_w(100.0, {1: 0}, 50.0) == {}
-    assert np.asarray([]).size == 0  # numpy really is importable here
