@@ -457,7 +457,7 @@ class ColumnarNodeStore:
     :meth:`adopt` installs the node-side revision sink, so every
     demand/cap mutation on an adopted node bumps :attr:`global_rev`;
     the store also owns the deferred-telemetry flush. Several
-    instances sharing one engine (an unsharded federated site) share
+    instances sharing one engine (a federated site) share
     one store: rings key on their own node's revision, so nothing here
     is per instance.
     """

@@ -2,6 +2,8 @@
 
 The center-level tier above the paper's cluster manager — see
 docs/federation.md and :mod:`repro.federation.site`.
+:class:`FederatedSite` is the one site engine; ``create_site`` is an
+alias for it.
 """
 
 from repro.federation.rebalance import (
@@ -11,22 +13,18 @@ from repro.federation.rebalance import (
     split_site_budget,
     validate_floors,
 )
-from repro.federation.digest import combine_site_digest, shard_digest, site_digest_of
-from repro.federation.sharded import ShardedFederatedSite, create_site
 from repro.federation.site import ClusterSpec, FederatedSite, SiteConfig
+
+create_site = FederatedSite
 
 __all__ = [
     "REL_EPS",
     "ClusterSpec",
     "FederatedSite",
-    "ShardedFederatedSite",
     "SiteConfig",
     "cluster_demand_w",
-    "combine_site_digest",
     "create_site",
-    "shard_digest",
     "site_allocation_total_w",
-    "site_digest_of",
     "split_site_budget",
     "validate_floors",
 ]

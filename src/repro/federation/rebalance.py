@@ -21,6 +21,7 @@ contract properties directly:
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Dict, Mapping, Optional
 
@@ -42,15 +43,26 @@ def validate_floors(
     floors: Mapping[str, float],
     ceilings: Optional[Mapping[str, Optional[float]]] = None,
 ) -> None:
-    """Raise ValueError unless every floor is satisfiable at once."""
-    if site_budget_w < 0:
-        raise ValueError(f"site budget must be >= 0, got {site_budget_w}")
+    """Raise ValueError unless every floor is satisfiable at once.
+
+    The budget, every floor and every ceiling must be finite (a
+    ``None`` ceiling means unbounded): an infinite or NaN budget would
+    install NaN or zero cluster caps.
+    """
+    if not math.isfinite(site_budget_w) or site_budget_w < 0:
+        raise ValueError(
+            f"site budget must be finite and >= 0, got {site_budget_w}"
+        )
     total = 0.0
     for name in sorted(floors):
         lo = float(floors[name])
-        if lo < 0:
-            raise ValueError(f"cluster {name!r} floor must be >= 0, got {lo}")
+        if not math.isfinite(lo) or lo < 0:
+            raise ValueError(
+                f"cluster {name!r} floor must be finite and >= 0, got {lo}"
+            )
         hi = None if ceilings is None else ceilings.get(name)
+        if hi is not None and not math.isfinite(hi):
+            raise ValueError(f"cluster {name!r} ceiling must be finite, got {hi}")
         if hi is not None and float(hi) < lo:
             raise ValueError(
                 f"cluster {name!r} ceiling {hi} below its floor {lo}"
@@ -102,8 +114,11 @@ def split_site_budget(
     hi = {c: (ceilings or {}).get(c) for c in names}
     validate_floors(site_budget_w, lo, hi)
     for c in names:
-        if float(demands[c]) < 0:
-            raise ValueError(f"cluster {c!r} demand must be >= 0")
+        d = float(demands[c])
+        if not math.isfinite(d) or d < 0:
+            raise ValueError(
+                f"cluster {c!r} demand must be finite and >= 0, got {d}"
+            )
     if weights is None:
         eff = {c: float(demands[c]) for c in names}
     else:

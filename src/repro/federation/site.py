@@ -7,6 +7,12 @@ independent :class:`~repro.cluster.PowerManagedCluster` instances
 (possibly on different platforms/backends) that all run in one shared
 simulation engine.
 
+:class:`FederatedSite` is the only site engine. Sharing one engine is
+what lets the site read every member's live demand, react to a
+whole-cluster outage inside the event that caused it, publish the
+``federation_*`` metrics on the one telemetry hub, and snapshot the
+whole site for crash recovery (:mod:`repro.lifecycle.snapshot`).
+
 Budget flow mirrors the cluster manager one level down:
 
 * every **rebalance epoch** the site reads each live cluster's demand
@@ -50,6 +56,7 @@ from repro.federation.rebalance import (
     validate_floors,
 )
 from repro.simkernel import RandomStreams, Simulator
+from repro.simkernel.canonical import canonical_digest
 from repro.telemetry import telemetry_of
 
 #: Simulated seconds of site-manager work charged per live cluster per
@@ -83,20 +90,11 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class SiteConfig:
-    """Site deployment: the budget, the epoch, and the member clusters.
-
-    ``sharded`` opts into the sharded engine
-    (:class:`~repro.federation.sharded.ShardedFederatedSite`): one
-    simulation engine per cluster with epoch-synchronized rebalance
-    barriers, instead of every cluster sharing one global event loop.
-    The flag is honoured by :func:`~repro.federation.create_site`;
-    constructing :class:`FederatedSite` directly ignores it.
-    """
+    """Site deployment: the budget, the epoch, and the member clusters."""
 
     site_budget_w: float
     clusters: Tuple[ClusterSpec, ...]
     rebalance_epoch_s: float = 10.0
-    sharded: bool = False
 
     def validate(self) -> None:
         if not self.clusters:
@@ -109,8 +107,13 @@ class SiteConfig:
         for spec in self.clusters:
             if spec.n_nodes < 1:
                 raise ValueError(f"cluster {spec.name!r} needs >= 1 node")
+        self.validate_budget(self.site_budget_w)
+
+    def validate_budget(self, site_budget_w: float) -> None:
+        """Raise ValueError unless ``site_budget_w`` is a finite budget
+        every cluster floor fits under."""
         validate_floors(
-            self.site_budget_w,
+            site_budget_w,
             {s.name: s.min_share_w for s in self.clusters},
             {s.name: s.max_share_w for s in self.clusters},
         )
@@ -130,9 +133,9 @@ class FederatedSite:
         Optional cluster-name → :class:`~repro.faults.FaultPlan` map —
         cluster-scoped fault campaigns, injected by each cluster's own
         injector exactly as on a standalone cluster.
-    sim:
-        Existing engine to build on; None creates one. All clusters
-        share it (and hence the telemetry hub).
+
+    All clusters share one engine, ``self.sim``, and hence one
+    telemetry hub.
     """
 
     def __init__(
@@ -140,9 +143,6 @@ class FederatedSite:
         config: SiteConfig,
         seed: int = 0,
         fault_plans: Optional[Mapping[str, FaultPlan]] = None,
-        sim: Optional[Simulator] = None,
-        telemetry_enabled: bool = True,
-        monitor_interval_s: float = 2.0,
     ) -> None:
         config.validate()
         fault_plans = dict(fault_plans or {})
@@ -152,10 +152,8 @@ class FederatedSite:
         self.config = config
         self.seed = int(seed)
         self.site_budget_w = float(config.site_budget_w)
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.telemetry = telemetry_of(self.sim)
-        if not telemetry_enabled:
-            self.telemetry.enabled = False
 
         streams = RandomStreams(seed=self.seed)
         self.specs: Dict[str, ClusterSpec] = {s.name: s for s in config.clusters}
@@ -179,7 +177,6 @@ class FederatedSite:
                     node_peak_w=spec.node_peak_w,
                 ),
                 monitor_strategy=spec.monitor_strategy,
-                monitor_interval_s=monitor_interval_s,
                 fault_plan=fault_plans.get(spec.name),
                 sim=self.sim,
                 hostname_prefix=spec.name,
@@ -352,11 +349,7 @@ class FederatedSite:
     # ------------------------------------------------------------------
     def retune_site_budget(self, new_budget_w: float) -> None:
         """Change the site budget and re-split immediately."""
-        validate_floors(
-            new_budget_w,
-            {s.name: s.min_share_w for s in self.config.clusters},
-            {s.name: s.max_share_w for s in self.config.clusters},
-        )
+        self.config.validate_budget(new_budget_w)
         self.site_budget_w = float(new_budget_w)
         self.telemetry.metrics.counter(
             "federation_site_retunes_total",
@@ -365,6 +358,9 @@ class FederatedSite:
         self._rebalance("retune")
 
     def schedule_retune(self, when: float, new_budget_w: float) -> None:
+        """Retune at simulated time ``when``; the budget is validated
+        now, so a bad value fails here rather than mid-run."""
+        self.config.validate_budget(new_budget_w)
         self.sim.schedule_at(when, self.retune_site_budget, new_budget_w)
 
     # ------------------------------------------------------------------
@@ -420,14 +416,34 @@ class FederatedSite:
     def site_digest(self) -> str:
         """Canonical digest of this run's externally visible outcome.
 
-        Built through :mod:`repro.federation.digest` — the stable
-        combination of per-cluster shard digests plus the rebalance
-        timeline — so a sharded run of the same config and seed
-        (:mod:`repro.federation.sharded`) produces the identical value.
+        Covers the end time, the rebalance timeline and, per cluster,
+        a SHA-256 of its finished-job metrics plus its fault log. The
+        per-cluster hashes keep their historical ``"shards"`` key, so
+        pinned digests keep their bytes.
         """
-        from repro.federation.digest import site_digest_of
-
-        return site_digest_of(self)
+        clusters: Dict[str, str] = {}
+        for name, cluster in self.clusters.items():
+            jobs = {
+                str(jobid): {
+                    "runtime_s": m.runtime_s,
+                    "avg_node_power_w": m.avg_node_power_w,
+                    "avg_node_energy_kj": m.avg_node_energy_kj,
+                }
+                for jobid, m in sorted(cluster.all_metrics().items())
+            }
+            clusters[name] = canonical_digest({
+                "jobs": jobs,
+                "faults": [list(entry) for entry in cluster.faults.injected],
+            })
+        return canonical_digest({
+            "t_end": self.sim.now,
+            "rebalances": [
+                {"t": t, "reason": reason, "shares": dict(shares),
+                 "live": list(live)}
+                for t, reason, shares, live in self.budget_log
+            ],
+            "shards": clusters,
+        })
 
     # ------------------------------------------------------------------
     # Crash recovery (see repro.lifecycle.snapshot)

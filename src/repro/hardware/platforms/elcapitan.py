@@ -1,6 +1,6 @@
 """El Capitan-class: HPE Cray EX255a nodes with four AMD MI300A APUs.
 
-The exascale scale target for the columnar/sharded engine work. Each
+The exascale scale target for the columnar store work. Each
 node carries four MI300A accelerated processing units — CPU cores, CDNA3
 compute dies and HBM3 stacked in one socket — so unlike Tioga there is
 no separate host CPU domain: the APU *is* the node's compute and its
@@ -13,7 +13,7 @@ is not exposed to users.
 Numbers are representative of the class (public MI300A envelopes), not
 calibrated against the real machine — the point of the platform is the
 scale of the management plane (10k–100k nodes), which is what the
-columnar store and sharded federation are benchmarked against.
+columnar store sweeps are benchmarked against.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.harness import BenchReport, BenchResult
+from repro.simkernel.canonical import canonical
 from repro.simkernel.rng import RandomStreams
 from repro.serving.driver import SimDriver
 from repro.serving.service import PowerService
@@ -331,22 +332,11 @@ class LoadtestResult:
         )
 
 
-def _canonical(obj: Any) -> Any:
-    """Round floats for a stable cross-run response digest."""
-    if isinstance(obj, float):
-        return round(obj, 9)
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
-
 def _response_digest(responses: List[Tuple[int, Dict[str, Any]]]) -> str:
     digest = hashlib.sha256()
     for seq, (status, body) in enumerate(responses):
         line = json.dumps(
-            {"seq": seq, "status": status, "body": _canonical(body)},
+            {"seq": seq, "status": status, "body": canonical(body)},
             sort_keys=True,
         )
         digest.update(line.encode())

@@ -246,20 +246,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the heap is empty.
-
-        Non-mutating with respect to live events (cancelled entries are
-        discarded in passing, exactly as :meth:`step` would). Shard
-        drivers (:mod:`repro.federation.sharded`) use this to interleave
-        several engines in global time order without executing anything.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
     def step(self) -> bool:
         """Run the next pending event. Returns False if the heap is empty."""
         heap = self._heap

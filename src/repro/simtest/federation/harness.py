@@ -21,20 +21,18 @@ also covering the site's rebalance timeline, so ``repro federate
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.federation import ClusterSpec, FederatedSite, SiteConfig
 from repro.flux.jobspec import Jobspec
 from repro.monitor.client import JobPowerData
+from repro.simkernel.canonical import canonical_digest
 from repro.simtest.harness import (
     DEFAULT_CHECK_INTERVAL_S,
     DEFAULT_MAX_EVENTS,
     DEFAULT_TIMEOUT_S,
     DIGEST_COUNTERS,
-    _canonical,
 )
 from repro.simtest.invariants import (
     BudgetChecker,
@@ -165,36 +163,6 @@ def _site_config(scenario: FederatedScenario) -> SiteConfig:
     )
 
 
-def _run_sharded_twin(scenario: FederatedScenario) -> str:
-    """Run ``scenario`` on the sharded inline engine; return its digest.
-
-    The twin gets the identical config, seed and workload as the
-    single-engine run the harness just finished — byte-equal site
-    digests are the sharding determinism contract
-    (:mod:`repro.federation.sharded`), so any divergence the fuzzer
-    finds here is a real finding, not noise.
-    """
-    from repro.federation import ShardedFederatedSite
-
-    site = ShardedFederatedSite(_site_config(scenario), seed=scenario.seed)
-    for c in scenario.clusters:
-        for entry in c.jobs:
-            spec = Jobspec(
-                app=entry.app,
-                nnodes=min(entry.nnodes, c.n_nodes),
-                params={"work_scale": entry.work_scale},
-            )
-            if entry.submit_t <= 0.0:
-                site.submit(c.name, spec)
-            else:
-                site.submit_at(c.name, spec, entry.submit_t)
-    for t, w in scenario.site_budget_schedule:
-        site.schedule_retune(t, w)
-    site.run_until_complete(timeout_s=DEFAULT_TIMEOUT_S)
-    site.run_for(scenario.drain_s)
-    return site.site_digest()
-
-
 def run_federated_scenario(
     scenario: FederatedScenario,
     checkers: Optional[List[InvariantChecker]] = None,
@@ -296,37 +264,6 @@ def run_federated_scenario(
         site.run_for(scenario.drain_s)
     tick_event.cancel()
 
-    # Sharded cross-check ------------------------------------------------
-    # The site digest folds in t_end (sim.now), which the end-of-run
-    # telemetry fetches below advance — capture it first.
-    if scenario.sharded and not timed_out:
-        unsharded_digest = site.site_digest()
-        try:
-            sharded_digest = _run_sharded_twin(scenario)
-        except Exception as exc:  # noqa: BLE001 - a crashed twin IS a finding
-            result.violations.append(
-                Violation(
-                    invariant="sharded_digest", t=sim.now,
-                    message=f"sharded twin run failed: {exc}",
-                    details={"error": str(exc)},
-                )
-            )
-        else:
-            if sharded_digest != unsharded_digest:
-                result.violations.append(
-                    Violation(
-                        invariant="sharded_digest", t=sim.now,
-                        message=(
-                            "sharded site digest diverged from the "
-                            "single-engine run"
-                        ),
-                        details={
-                            "unsharded": unsharded_digest,
-                            "sharded": sharded_digest,
-                        },
-                    )
-                )
-
     # End-of-run checks --------------------------------------------------
     if not timed_out:
         for name, view in ctx.views.items():
@@ -395,6 +332,5 @@ def run_federated_scenario(
     for counter in DIGEST_COUNTERS + FEDERATION_DIGEST_COUNTERS:
         total = sum(s.value for s in metrics.series_for(counter))
         summary["counters"][counter] = total
-    blob = json.dumps(_canonical(summary), sort_keys=True).encode()
-    result.digest = hashlib.sha256(blob).hexdigest()
+    result.digest = canonical_digest(summary)
     return result

@@ -138,12 +138,6 @@ class FederatedScenario:
     #: (t, new_site_budget_w) retuning steps, sorted by t.
     site_budget_schedule: Tuple[Tuple[float, float], ...] = ()
     drain_s: float = 4.0
-    #: Also run the sharded engine (:mod:`repro.federation.sharded`,
-    #: inline backend) and require its site digest to equal the
-    #: single-engine run's. The generator only sets this on fault-free
-    #: scenarios at small N, where the no-collision contract holds by
-    #: construction.
-    sharded: bool = False
 
     def describe(self) -> str:
         parts = ", ".join(
@@ -155,7 +149,6 @@ class FederatedScenario:
             f"seed={self.seed} site={self.site_budget_w:.0f}W "
             f"epoch={self.rebalance_epoch_s:g}s [{parts}] "
             f"retunes={len(self.site_budget_schedule)}"
-            f"{' sharded' if self.sharded else ''}"
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -166,11 +159,13 @@ class FederatedScenario:
             "clusters": [c.to_dict() for c in self.clusters],
             "site_budget_schedule": [[t, w] for t, w in self.site_budget_schedule],
             "drain_s": self.drain_s,
-            "sharded": self.sharded,
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FederatedScenario":
+        """Inverse of :meth:`to_dict`. Unknown keys are ignored, so
+        reproducers written by older versions (e.g. with the retired
+        ``sharded`` flag) still replay."""
         return cls(
             seed=int(d["seed"]),
             site_budget_w=float(d["site_budget_w"]),
@@ -182,7 +177,6 @@ class FederatedScenario:
                 (float(t), float(w)) for t, w in d.get("site_budget_schedule", [])
             ),
             drain_s=float(d.get("drain_s", 4.0)),
-            sharded=bool(d.get("sharded", False)),
         )
 
 
@@ -219,12 +213,6 @@ class FederatedGeneratorConfig:
     max_hangs: int = 1
     #: Probability of a mid-run site budget retune.
     p_site_retune: float = 0.4
-    #: Probability a *fault-free* scenario also runs the sharded engine
-    #: and cross-checks its site digest against the single-engine run.
-    p_sharded: float = 0.3
-    #: Sharded cross-check ceiling: total nodes across the site. The
-    #: sharded run doubles the scenario's cost, so keep it to small N.
-    max_sharded_total_nodes: int = 24
 
 
 def generate_federated_scenario(
@@ -245,8 +233,6 @@ def generate_federated_scenario(
     budget_rng = streams.get("simtest/federation/budget")
     faults_rng = streams.get("simtest/federation/faults")
     outages_rng = streams.get("simtest/federation/outages")
-    # Own substream, same stability contract as the other dimensions.
-    sharded_rng = streams.get("simtest/federation/sharded")
 
     # Topology -----------------------------------------------------------
     n_clusters = int(topo.integers(cfg.min_clusters, cfg.max_clusters + 1))
@@ -353,21 +339,10 @@ def generate_federated_scenario(
             )
         )
 
-    # Sharded cross-check: only fault-free scenarios at small N — the
-    # sharded engine's no-collision contract covers transition-free
-    # runs unconditionally, and the second run doubles the cost.
-    want_sharded = float(sharded_rng.random()) < cfg.p_sharded
-    sharded = (
-        want_sharded
-        and total_nodes <= cfg.max_sharded_total_nodes
-        and not any(c.fault_events or c.outages for c in clusters)
-    )
-
     return FederatedScenario(
         seed=seed,
         site_budget_w=site_budget_w,
         rebalance_epoch_s=epoch_s,
         clusters=tuple(clusters),
         site_budget_schedule=site_budget_schedule,
-        sharded=sharded,
     )

@@ -21,8 +21,6 @@ they can only *observe* a divergence, never cause one.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
@@ -30,6 +28,7 @@ from repro.cluster import PowerManagedCluster
 from repro.flux.jobspec import Jobspec
 from repro.manager.cluster_manager import ManagerConfig
 from repro.monitor.client import JobPowerData
+from repro.simkernel.canonical import canonical_digest
 from repro.simtest.invariants import InvariantChecker, Violation, default_checkers
 from repro.simtest.scenario import Scenario, TenantMix
 
@@ -104,17 +103,6 @@ class SimtestResult:
             f"[{v.invariant}] t={v.t:.3f}: {v.message}"
             + (f" (+{len(self.violations) - 1} more)" if len(self.violations) > 1 else "")
         )
-
-
-def _canonical(obj: Any) -> Any:
-    """Round floats for a stable cross-run JSON digest."""
-    if isinstance(obj, float):
-        return round(obj, 9)
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
 
 
 def _tenancy_config(mix: TenantMix, global_cap_w: Optional[float]):
@@ -394,6 +382,5 @@ def run_scenario(
     # historical (anonymous) digest byte-identical.
     if scenario.tenancy is not None and cluster.tenancy is not None:
         summary["tenancy"] = cluster.tenancy.digest_summary()
-    blob = json.dumps(_canonical(summary), sort_keys=True).encode()
-    result.digest = hashlib.sha256(blob).hexdigest()
+    result.digest = canonical_digest(summary)
     return result

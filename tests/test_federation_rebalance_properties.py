@@ -162,6 +162,27 @@ def test_split_rejects_negative_demand():
         split_site_budget(100.0, {"a": -5.0})
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_validate_floors_rejects_non_finite(bad):
+    """An infinite or NaN budget used to install inf/NaN (or 0.0) caps;
+    a NaN floor or ceiling slipped past every comparison."""
+    with pytest.raises(ValueError, match="finite"):
+        validate_floors(bad, {"a": 0.0})
+    with pytest.raises(ValueError, match="finite"):
+        validate_floors(100.0, {"a": bad})
+    with pytest.raises(ValueError, match="finite"):
+        validate_floors(100.0, {"a": 0.0}, {"a": bad})
+    validate_floors(100.0, {"a": 0.0}, {"a": None})
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_split_rejects_non_finite_demand(bad):
+    """A NaN demand used to count as zero: ``{'a': nan, 'b': 1.0}``
+    split 100 W as ``{'a': 0.0, 'b': 100.0}``."""
+    with pytest.raises(ValueError, match="finite"):
+        split_site_budget(100.0, {"a": bad, "b": 1.0})
+
+
 def test_empty_site():
     assert split_site_budget(100.0, {}) == {}
     assert site_allocation_total_w(100.0, {}) == 0.0

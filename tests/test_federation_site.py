@@ -8,10 +8,12 @@ federation telemetry catalog.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.federation import ClusterSpec, FederatedSite, SiteConfig
+from repro.federation import ClusterSpec, FederatedSite, SiteConfig, create_site
 from repro.flux.jobspec import Jobspec
 
 
@@ -167,11 +169,38 @@ def test_site_retune_revalidates_floors_and_resplits():
     assert sum(site.assigned_shares.values()) == pytest.approx(25_000.0)
     with pytest.raises(ValueError):
         site.retune_site_budget(5_000.0)  # below alpha's floor
+    with pytest.raises(ValueError, match="finite"):
+        site.retune_site_budget(math.nan)
     retunes = sum(
         s.value
         for s in site.telemetry.metrics.series_for("federation_site_retunes_total")
     )
     assert retunes == 1.0
+
+
+@pytest.mark.parametrize("budget", [math.inf, math.nan])
+def test_non_finite_site_budget_is_rejected(budget):
+    """An infinite budget used to install ``{'a': inf, 'b': nan}`` as
+    cluster caps, and a NaN budget installed 0.0 on every cluster."""
+    config = SiteConfig(
+        site_budget_w=budget,
+        clusters=(
+            ClusterSpec(name="a", platform="lassen", n_nodes=2),
+            ClusterSpec(name="b", platform="tioga", n_nodes=2),
+        ),
+    )
+    with pytest.raises(ValueError, match="finite"):
+        FederatedSite(config, seed=0)
+
+
+def test_schedule_retune_validates_at_call_time():
+    """A bad scheduled budget fails when scheduled, not mid-run."""
+    site = FederatedSite(two_cluster_config(), seed=0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            site.schedule_retune(5.0, bad)
+    site.run_for(10.0)
+    assert not any(e[1] == "retune" for e in site.budget_log)
 
 
 def test_config_validation():
@@ -236,3 +265,87 @@ def test_per_cluster_seeds_are_independent():
     a2 = site2.cluster("alpha").instance.streams.seed
     a3 = site3.cluster("alpha").instance.streams.seed
     assert a2 == a3
+
+
+# ----------------------------------------------------------------------
+# Site digest
+# ----------------------------------------------------------------------
+def _digest_config() -> SiteConfig:
+    return SiteConfig(
+        site_budget_w=40_000.0,
+        rebalance_epoch_s=10.0,
+        clusters=(
+            ClusterSpec(name="alpha", platform="lassen", n_nodes=6,
+                        node_peak_w=3050.0),
+            ClusterSpec(name="beta", platform="tioga", n_nodes=4,
+                        node_peak_w=3200.0, min_share_w=2000.0),
+        ),
+    )
+
+
+def _retune_run(site: FederatedSite) -> FederatedSite:
+    site.submit("alpha", Jobspec(app="gemm", nnodes=4))
+    site.submit_at("alpha", Jobspec(app="lammps", nnodes=2), 13.0)
+    site.submit("beta", Jobspec(app="gemm", nnodes=3))
+    site.schedule_retune(25.0, 36_000.0)
+    site.run_for(130.0)
+    return site
+
+
+def _outage_run() -> FederatedSite:
+    # Crashes every crashable rank of a 3-node cluster at off-grid
+    # instants, then restores them: a whole-cluster outage and recovery.
+    plan = FaultPlan(events=[
+        FaultEvent(t=17.3, kind="crash", rank=1),
+        FaultEvent(t=17.9, kind="crash", rank=2),
+        FaultEvent(t=44.1, kind="restart", rank=1),
+        FaultEvent(t=46.7, kind="restart", rank=2),
+    ])
+    config = SiteConfig(
+        site_budget_w=40_000.0,
+        rebalance_epoch_s=10.0,
+        clusters=(
+            ClusterSpec(name="alpha", platform="lassen", n_nodes=4,
+                        node_peak_w=3050.0),
+            ClusterSpec(name="beta", platform="lassen", n_nodes=3,
+                        node_peak_w=3050.0),
+        ),
+    )
+    site = FederatedSite(config, seed=7, fault_plans={"beta": plan})
+    site.submit("alpha", Jobspec(app="gemm", nnodes=3))
+    site.submit("beta", Jobspec(app="gemm", nnodes=2))
+    site.submit_at("beta", Jobspec(app="lammps", nnodes=2), 55.0)
+    site.run_for(140.0)
+    return site
+
+
+def test_site_digest_bytes_are_pinned():
+    """Literal digests: the canonical JSON (``t_end``, ``rebalances``
+    and per-cluster hashes under ``"shards"``) must not drift."""
+    retune = _retune_run(FederatedSite(_digest_config(), seed=42))
+    reasons = [r for _, r, _, _ in retune.budget_log]
+    assert reasons[0] == "initial"
+    assert "retune" in reasons and "epoch" in reasons
+    assert retune.site_digest() == (
+        "f592c7ce8094b6363b5afd4257d2f9d114c7698413cfe8fdd5d0a0b5e8dc8509"
+    )
+    outage = _outage_run()
+    reasons = [r for _, r, _, _ in outage.budget_log]
+    assert "outage" in reasons and "recovery" in reasons
+    assert outage.site_digest() == (
+        "5c981a510d440a74415596eed31ca3271357afad322019a7ee0b5d2c0b3af79d"
+    )
+
+
+def test_workload_changes_the_digest():
+    # With jitter and sensor noise off, the run is seed-independent by
+    # design; the digest must still separate different workloads.
+    a = _retune_run(FederatedSite(_digest_config(), seed=1))
+    b = FederatedSite(_digest_config(), seed=1)
+    b.submit("alpha", Jobspec(app="gemm", nnodes=5))
+    b.run_for(130.0)
+    assert a.site_digest() != b.site_digest()
+
+
+def test_create_site_is_the_federated_site():
+    assert create_site is FederatedSite

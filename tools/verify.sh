@@ -20,6 +20,11 @@
 #   tenancy  - multi-tenant gate: the fairshare property + model suites,
 #              then a forced-tenancy fuzz batch under the tenant
 #              invariant checkers (see docs/tenancy.md)
+#   hostbench - one untraced run of every host-time benchmark workload
+#              at seed 0, plus fpp_site at the held-out seed 4242; each
+#              must report "correct": true on its last stdout line (the
+#              runner exits 0 even on an incorrect run), which pins the
+#              site digest, events and counters to hostbench/expected.json
 #   bench    - quick perf suite compared against the committed
 #              BENCH_columnar.json baseline; OFF by default (set
 #              REPRO_BENCH_GATE=1) so the flow stays fast
@@ -50,7 +55,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-STAGES="${STAGES:-tier1 shuffle cov simtest federate policies lifecycle serve tenancy bench}"
+STAGES="${STAGES:-tier1 shuffle cov simtest federate policies lifecycle serve tenancy hostbench bench}"
 REPRO_COV_MIN="${REPRO_COV_MIN:-80}"
 REPRO_SHUFFLE_SEED="${REPRO_SHUFFLE_SEED:-1}"
 REPRO_SIMTEST_SEEDS="${REPRO_SIMTEST_SEEDS:-25}"
@@ -133,6 +138,19 @@ for stage in $STAGES; do
                 tests/test_tenancy_model.py
             banner "tenancy: forced-tenancy fuzz batch ($REPRO_TENANCY_SEEDS seeds)"
             python -m repro.cli tenants --seeds "$REPRO_TENANCY_SEEDS"
+            ;;
+        hostbench)
+            for run in telemetry_10k:0 fpp_site:0 serve_tenants:0 fpp_site:4242; do
+                workload="${run%%:*}"
+                seed="${run##*:}"
+                banner "hostbench: $workload seed $seed must be correct"
+                last="$(python3 hostbench/run.py --workload "$workload" \
+                    --seed "$seed" --seconds 10 --trace 0 | tail -n 1)"
+                python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' "$last" || {
+                    echo "hostbench $workload seed $seed is not correct: $last" >&2
+                    exit 1
+                }
+            done
             ;;
         bench)
             if [ "$REPRO_BENCH_GATE" != "1" ]; then
