@@ -7,54 +7,59 @@ charge per node — so a 10k-node, 600 s window would cost ~3M Python
 sample bodies before a single query runs. The columnar layout makes
 steady-state sampling O(ticks + power-state changes) instead:
 
-* Each :class:`~repro.monitor.sampler.BatchSampler` group owns one
+* Each :class:`~repro.monitor.sampler.SampleGroup` owns one
   :class:`TickLog` — a shared, growable timestamp column. A group tick
   appends *one* raw timestamp plus one quantised wire timestamp per
   distinct sensor granularity, regardless of how many nodes share the
   grid.
-* Each columnar node agent owns a :class:`ColumnarRing`: no per-tick
-  storage at all, just a window ``[start, end)`` into the tick log and
-  a short list of *segments* — ``(tick index, power_rev, template)``
-  runs during which the node's finished sample differed only in its
+* Every node agent owns a :class:`ColumnarRing`: no per-tick storage
+  at all, just a window ``[start, end)`` into the tick log and a short
+  list of *segments* — ``(tick index, power_rev, template)`` runs
+  during which the node's finished sample differed only in its
   timestamp (exactly the invariant ``Backend.sample_cached`` already
   relies on). Ring contents are materialised lazily: a query returns a
   :class:`ColumnarSamples` view whose ``len`` is O(1) and whose dicts
-  are built on iteration, byte-identical to the scalar path's.
+  are built on iteration. Segments wholly before the live window are
+  dropped, so a ring never holds more than ``len(ring) + 1`` of them.
 * Power-state changes are detected with one integer compare per tick:
   every demand/cap mutation bumps :attr:`ColumnarNodeStore.global_rev`
   (via ``Node.bump_power_rev``), and only ticks that observe a changed
-  global revision rescan member nodes for stale segments.
+  global revision rescan member nodes for stale segments. Members on
+  noisy sensors draw per-sample RNG, so their group samples them on
+  every tick, in member order, at the instant a per-node timer would
+  have; each such tick pushes one segment.
 * The per-tick telemetry side effects are deferred but *exact*: buffer
-  gauges are last-write-wins (recomputed from ring state at flush) and
-  the accountant charge is the same constant for every columnar member
-  (enforced by :meth:`ColumnarNodeStore.accept_charge`), so replaying
-  ``n`` identical float additions at flush time reproduces the scalar
-  accumulator bit for bit. Flushes run before any other ``monitor``
-  charge (accountant pre-charge hook) and before every metrics export.
+  gauges are last-write-wins (recomputed from ring state at flush),
+  and accountant charges wait in one store-wide run-length queue of
+  ``(charge, count)``, appended in tick order and, within a tick, in
+  member registration order — the order per-node timers charged in.
+  Replaying each run as ``count`` identical float additions reproduces
+  the per-sample accumulator bit for bit; on a single-platform engine
+  the queue is one run. Flushes run before any other ``monitor`` charge
+  (accountant pre-charge hook) and before every metrics export.
 
-Agents that would break those exactness arguments — noisy sensors
-(per-sample RNG), a second per-sample charge constant on the same
-engine, agents restored from a snapshot — keep an explicit
-:class:`~repro.monitor.buffer.CircularBuffer` filled per tick by the
-same :class:`~repro.monitor.sampler.BatchSampler` group.
+:class:`~repro.monitor.buffer.CircularBuffer` is the explicit reference
+ring the tests drive side by side with :class:`ColumnarRing`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.monitor.buffer import DEFAULT_SAMPLE_BYTES, CircularBuffer
+from repro.monitor.buffer import DEFAULT_SAMPLE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import Node
-    from repro.monitor.node_agent import NodeAgentModule
     from repro.simkernel.engine import Simulator
 
 _ATTR = "_columnar_store"
+
+#: Deferred charge runs a store holds before replaying them unasked.
+MAX_QUEUED_CHARGE_RUNS = 1024
 
 
 def columnar_store_of(sim: "Simulator") -> "ColumnarNodeStore":
@@ -64,11 +69,6 @@ def columnar_store_of(sim: "Simulator") -> "ColumnarNodeStore":
         store = ColumnarNodeStore(sim)
         setattr(sim, _ATTR, store)
     return store
-
-
-def columnar_of(sim: "Simulator") -> Optional["ColumnarNodeStore"]:
-    """The per-simulator store if one exists, else None."""
-    return getattr(sim, _ATTR, None)
 
 
 def _wire_timestamp(t: float, granularity_s: float) -> float:
@@ -175,7 +175,7 @@ class ColumnarSamples(Sequence):
 
     def __eq__(self, other) -> bool:
         # Sequence equality, so a payload carrying this view compares
-        # equal to the explicit-buffer path's list of the same samples.
+        # equal to a list of the same samples (e.g. a reference ring's).
         if not isinstance(other, (list, tuple, ColumnarSamples)):
             return NotImplemented
         return len(self) == len(other) and all(
@@ -193,11 +193,9 @@ class ColumnarRing:
     """A ring-buffer-compatible *view* over a group's tick log.
 
     Implements the :class:`~repro.monitor.buffer.CircularBuffer` read
-    surface (len / dropped / oldest / newest / range / flush /
-    snapshot) without storing anything per tick. ``append`` is
-    unsupported by design — contents are implicit; agents that need an
-    explicit buffer again (snapshot restore) demote to a real
-    :class:`CircularBuffer` via :meth:`to_circular_buffer`.
+    and recovery surface (len / dropped / oldest / newest / range /
+    flush / snapshot / restore) without storing anything per tick. Its
+    sampler group pushes the segments; nothing else writes to it.
     """
 
     __slots__ = (
@@ -267,6 +265,18 @@ class ColumnarRing:
             segs[-1] = (log_idx, rev, template)
         else:
             segs.append((log_idx, rev, template))
+            self._trim()
+
+    def _trim(self) -> None:
+        """Drop segments wholly before the live window. The newest one
+        always stays: later ticks without a push extend it."""
+        segs = self.segments
+        lo = self._live_lo()
+        k, last = 0, len(segs) - 1
+        while k < last and segs[k + 1][0] <= lo:
+            k += 1
+        if k:
+            del segs[:k]
 
     @property
     def segment_rev(self) -> int:
@@ -286,7 +296,7 @@ class ColumnarRing:
 
     def materialize(self, i: int) -> dict:
         """The finished sample for log index ``i`` — same dict contents
-        (and key order) as the scalar ``sample_cached`` fast path."""
+        (and key order) as the ``sample_cached`` fast path."""
         sample = dict(self._template_for(i))
         sample["timestamp"] = float(self.log.wire[self.granularity_s].data[i])
         return sample
@@ -298,12 +308,6 @@ class ColumnarRing:
         self._flush_lo = min(self._flush_lo, idx)
 
     # -- CircularBuffer read surface -----------------------------------
-    def append(self, timestamp: float, sample: dict) -> None:
-        raise TypeError(
-            "ColumnarRing contents are implicit; demote the agent to a "
-            "CircularBuffer before appending explicitly"
-        )
-
     def range(self, t_start: float, t_end: float):
         if t_end < t_start:
             raise ValueError("t_end must be >= t_start")
@@ -325,6 +329,7 @@ class ColumnarRing:
     def flush(self) -> int:
         n = len(self)
         self._flush_lo = self.end
+        self._trim()
         return n
 
     def snapshot(self) -> List[Tuple[float, dict]]:
@@ -332,6 +337,7 @@ class ColumnarRing:
         raw = self.log.raw.data
         return [(float(raw[i]), self.materialize(i)) for i in range(lo, self.end)]
 
+    # -- crash recovery (see repro.lifecycle.snapshot) -----------------
     def snapshot_state(self) -> dict:
         return {
             "capacity": self.capacity,
@@ -340,126 +346,53 @@ class ColumnarRing:
         }
 
     def restore_state(self, state: dict) -> None:
-        raise TypeError(
-            "ColumnarRing cannot restore explicit entries; the agent "
-            "demotes to a CircularBuffer first"
-        )
+        """Rebuild from :meth:`snapshot_state` in place; ``{}`` empties
+        the ring at the log's current end.
 
-    def to_circular_buffer(self) -> CircularBuffer:
-        """An explicit ring with identical logical contents."""
-        buf = CircularBuffer(self.capacity)
-        for t, sample in self.snapshot():
-            buf.append(t, sample)
-        buf.total_appended = self.total_appended
-        return buf
-
-
-class GroupColumns:
-    """Columnar members of one sampler group.
-
-    Owns the group's :class:`TickLog` and the deferred telemetry
-    bookkeeping. A group tick with no power-state change is O(1) in the
-    number of member nodes.
-    """
-
-    _GROUP_ATTR = "columns"
-
-    def __init__(self, group, store: "ColumnarNodeStore") -> None:
-        self.group = group
-        self.store = store
-        self.log = TickLog()
-        self.agents: List["NodeAgentModule"] = []
-        self._seen_global_rev = -1
-        #: Per charge constant: member count (for deferral bookkeeping).
-        self._members_by_charge: Dict[float, int] = {}
-        #: Per charge constant: accountant charges accrued, not yet replayed.
-        self._pending_charges: Dict[float, int] = {}
-        store._groups.append(self)
-
-    @classmethod
-    def ensure(cls, group, store: "ColumnarNodeStore") -> "GroupColumns":
-        cols = group.columns
-        if cols is None:
-            cols = cls(group, store)
-            group.columns = cols
-        return cols
-
-    # -- membership -----------------------------------------------------
-    def add(self, agent: "NodeAgentModule") -> ColumnarRing:
-        node = agent.broker.node
-        g = node.sensors.granularity_s
-        self.log.ensure_granularity(g)
-        ring = ColumnarRing(
-            self.log, g, capacity=agent.buffer.capacity, start=self.log.n
-        )
-        self.agents.append(agent)
-        c = agent._charge_s
-        self._members_by_charge[c] = self._members_by_charge.get(c, 0) + 1
-        # Force a segment scan on the next tick so the newcomer gets
-        # its initial template even with no power-state change.
-        self._seen_global_rev = -1
-        return ring
-
-    def remove(self, agent: "NodeAgentModule") -> None:
-        if agent in self.agents:
-            self.agents.remove(agent)
-            c = agent._charge_s
-            left = self._members_by_charge.get(c, 0) - 1
-            if left > 0:
-                self._members_by_charge[c] = left
-            else:
-                self._members_by_charge.pop(c, None)
-        ring = agent._ring
-        if ring is not None:
-            ring.freeze()
-
-    # -- the tick -------------------------------------------------------
-    def tick(self, now: float) -> None:
-        self.log.tick(now)
-        store = self.store
-        if store.global_rev != self._seen_global_rev:
-            self._seen_global_rev = store.global_rev
-            idx = self.log.n - 1
-            for agent in self.agents:
-                node = agent.broker.node
-                ring = agent._ring
-                if ring.segment_rev != node.power_rev or not ring.segments:
-                    template = agent._backend.sample_cached(
-                        node, now, agent._plan
-                    )
-                    ring.push_segment(idx, node.power_rev, template)
-        pending = self._pending_charges
-        for c, n in self._members_by_charge.items():
-            pending[c] = pending.get(c, 0) + n
-        store._needs_flush = True
-
-    # -- deferred telemetry --------------------------------------------
-    def drain_charges(self, accountant) -> None:
-        pending = self._pending_charges
-        if not pending:
-            return
-        self._pending_charges = {}
-        for c, count in pending.items():
-            # Replaying n identical additions reproduces the scalar
-            # accumulator exactly (same value sequence); mixed charge
-            # constants never share a store (accept_charge), and
-            # charge_repeated applies them in one bit-exact bulk step.
-            accountant.charge_repeated("monitor", c, count)
-
-    def flush_gauges(self) -> None:
-        for agent in self.agents:
-            agent._set_buffer_gauges()
+        The entries are the log's tail: each must carry the raw
+        timestamp of its log index and equal the sample materialised
+        there, so an artifact only restores into the run (and at the
+        instant) it was taken from; anything else raises
+        :class:`ValueError`. Restored segments carry revision -1, so
+        the next group rescan re-samples the node.
+        """
+        end = self.end
+        entries = state.get("entries") or []
+        n = len(entries)
+        total = int(state.get("total_appended", n))
+        if n > min(total, self.capacity) or total > end:
+            raise ValueError(
+                f"snapshot window ({n} entries of {total} appended) does "
+                f"not fit this ring ({end} ticks, capacity {self.capacity})"
+            )
+        lo = end - n
+        raw = self.log.raw.data
+        wire = self.log.wire[self.granularity_s].data
+        segs: List[Tuple[int, int, dict]] = []
+        for k, (t, sample) in enumerate(entries):
+            i = lo + k
+            ts = float(wire[i])
+            if float(t) != float(raw[i]) or sample.get("timestamp") != ts:
+                raise ValueError(
+                    f"snapshot entry at t={t} is not this ring's sample "
+                    f"at log index {i} (t={float(raw[i])})"
+                )
+            if not segs or {**segs[-1][2], "timestamp": ts} != sample:
+                segs.append((i, -1, dict(sample)))
+        self.start = end - total
+        self._flush_lo = lo
+        self.segments = segs
 
 
 class ColumnarNodeStore:
-    """Per-simulator registry of the columnar sampler groups.
+    """Per-simulator sampling state shared by every sampler group.
 
     :meth:`adopt` installs the node-side revision sink, so every
-    demand/cap mutation on an adopted node bumps :attr:`global_rev`;
-    the store also owns the deferred-telemetry flush. Several
-    instances sharing one engine (a federated site) share
-    one store: rings key on their own node's revision, so nothing here
-    is per instance.
+    demand/cap mutation on an adopted node bumps :attr:`global_rev`.
+    The store also owns the queue of deferred ``monitor`` charges and
+    the deferred-telemetry flush. Several instances sharing one engine
+    (a federated site) share one store: rings key on their own node's
+    revision, so nothing here is per instance.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -467,8 +400,9 @@ class ColumnarNodeStore:
         #: Bumped on every adopted node's power-state mutation; sampler
         #: groups compare it to skip per-node scans on quiet ticks.
         self.global_rev = 0
-        self._groups: List[GroupColumns] = []
-        self._charge_value: Optional[float] = None
+        #: Deferred ``monitor`` charges as ``[charge, count]`` runs, in
+        #: the order per-node timers would have charged them.
+        self._charges: List[List] = []
         self._flushing = False
         self._hooked = False
 
@@ -494,24 +428,37 @@ class ColumnarNodeStore:
     def power_rev_changed(self, node: "Node") -> None:
         self.global_rev += 1
 
-    # -- charge uniformity ---------------------------------------------
-    def accept_charge(self, charge_s: float) -> bool:
-        """Deferred accountant replay is only exact when every columnar
-        member charges the same constant; the first member pins it."""
-        if self._charge_value is None:
-            self._charge_value = charge_s
-            return True
-        return charge_s == self._charge_value
+    # -- deferred telemetry ---------------------------------------------
+    def enqueue_charges(self, runs: Iterable[Tuple[float, int]]) -> None:
+        """Queue ``count`` accountant charges of ``charge`` per run."""
+        queue = self._charges
+        for charge, count in runs:
+            if queue and queue[-1][0] == charge:
+                queue[-1][1] += count
+            else:
+                queue.append([charge, count])
+        self._needs_flush = True
+        if len(queue) > MAX_QUEUED_CHARGE_RUNS:
+            # Replaying early keeps the order, so it stays exact; it
+            # bounds the queue where members charge different constants.
+            self._drain_charges()
 
-    # -- deferred telemetry flush ---------------------------------------
-    def _on_accountant_charge(self, category: Optional[str]) -> None:
-        if category is not None and category != "monitor":
+    def _drain_charges(self) -> None:
+        queue = self._charges
+        if not queue:
             return
+        self._charges = []
         from repro.telemetry import telemetry_of
 
         accountant = telemetry_of(self.sim).accountant
-        for cols in self._groups:
-            cols.drain_charges(accountant)
+        for charge, count in queue:
+            # charge_repeated replays ``count`` sequential additions in
+            # one bit-exact bulk step; the runs keep their queue order.
+            accountant.charge_repeated("monitor", charge, count)
+
+    def _on_accountant_charge(self, category: Optional[str]) -> None:
+        if category is None or category == "monitor":
+            self._drain_charges()
 
     #: Set by group ticks; cleared on flush (cheap no-op guard).
     _needs_flush = False
@@ -520,20 +467,18 @@ class ColumnarNodeStore:
         """Replay deferred charges and write deferred gauges.
 
         Runs before every metrics export and digest so deferred state
-        is never observable; last-write-wins gauges and constant-value
-        charge replay make the result bit-identical to the scalar
-        path's (docs/performance.md has the argument).
+        is never observable; last-write-wins gauges and in-order charge
+        replay make the result bit-identical to per-sample writes
+        (docs/performance.md has the argument).
         """
         if self._flushing or not self._needs_flush:
             return
         self._flushing = True
         try:
-            from repro.telemetry import telemetry_of
+            from repro.monitor.sampler import sampler_of
 
-            accountant = telemetry_of(self.sim).accountant
-            for cols in self._groups:
-                cols.drain_charges(accountant)
-                cols.flush_gauges()
+            self._drain_charges()
+            sampler_of(self.sim).flush_gauges()
             self._needs_flush = False
         finally:
             self._flushing = False

@@ -1,6 +1,6 @@
-"""Fixed-capacity circular sample buffer.
+"""Fixed-capacity circular sample buffer: the reference ring.
 
-The node agent stores Variorum JSON samples in a ring: when full, the
+Each node agent keeps Variorum JSON samples in a ring: when full, the
 oldest sample is overwritten. The paper's default is 100,000 samples ≈
 43.4 MiB (~455 bytes per serialised Variorum JSON object); at the 2 s
 default sampling rate that is ~2.3 days of history per node. A job
@@ -16,11 +16,18 @@ scanning all retained samples — the difference between microseconds
 and milliseconds on a full 100k-sample buffer (see
 ``benchmarks/test_monitor_buffer.py``).
 
-The buffer itself is passive (no simulator access); the node agent
-mirrors its state into the observability hub after each write — fill
-level as ``monitor_buffer_occupancy{rank=...}``, wrap-around losses as
-``monitor_buffer_dropped{rank=...}``, administrative flushes as
-``monitor_buffer_flushes_total`` (see docs/observability.md).
+Node agents themselves hold a
+:class:`~repro.columnar.store.ColumnarRing`, which derives the same
+contents from a shared tick log without storing a dict per sample.
+:class:`CircularBuffer` is the explicit ring it must answer like: the
+tests drive both through the same operations
+(``tests/test_ring_model.py``) and compare whole-machine queries
+against one ``CircularBuffer`` per node. Nothing else in ``src/``
+constructs one. The agent mirrors ring state into the observability
+hub — fill level as ``monitor_buffer_occupancy{rank=...}``,
+wrap-around losses as ``monitor_buffer_dropped{rank=...}``,
+administrative flushes as ``monitor_buffer_flushes_total`` (see
+docs/observability.md).
 """
 
 from __future__ import annotations

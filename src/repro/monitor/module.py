@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.columnar.store import columnar_store_of
 from repro.flux.instance import FluxInstance
 from repro.flux.module import RetryConfig
 from repro.monitor.client import PowerMonitorClient
@@ -86,15 +85,10 @@ def attach_monitor(
     ``retry`` sets the per-node timeout/retry policy the aggregators
     use when a node agent stops answering (see docs/failures.md);
     None means the :class:`~repro.flux.module.RetryConfig` defaults.
-    Samples live in the simulator's columnar store, with a per-agent
-    explicit-buffer fallback where byte-exactness needs it (see
-    docs/performance.md). ``columnar`` is accepted for callers written
-    against the earlier two-mode monitor and ignored.
+    Every node agent samples into a ring in the simulator's columnar
+    store (see docs/performance.md). ``columnar`` is accepted for
+    callers written against the earlier two-mode monitor and ignored.
     """
-    store = columnar_store_of(instance.sim)
-    for broker in instance.brokers:
-        if broker.node is not None:
-            store.adopt(broker.node)
     node_agents = instance.load_module_on_all(
         lambda broker: NodeAgentModule(
             broker,

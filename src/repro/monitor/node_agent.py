@@ -14,16 +14,14 @@ percentage matches the slowdown the apps actually experience.
 
 from __future__ import annotations
 
+import math
+
 from repro import variorum
-from repro.columnar.store import GroupColumns, columnar_of
+from repro.columnar.store import ColumnarRing, columnar_store_of
 from repro.flux.broker import Broker
 from repro.flux.message import CachedSizeDict, Message, estimate_payload_bytes
 from repro.flux.module import Module
-from repro.monitor.buffer import (
-    DEFAULT_CAPACITY,
-    CircularBuffer,
-    downsample_evenly,
-)
+from repro.monitor.buffer import DEFAULT_CAPACITY, downsample_evenly
 from repro.monitor.overhead import sampling_overhead_fraction
 from repro.monitor.sampler import sampler_of
 from repro.variorum.backends import get_backend
@@ -39,15 +37,12 @@ CLEAR_TOPIC = "power-monitor.clear"
 class NodeAgentModule(Module):
     """Samples node power via Variorum into a ring buffer.
 
-    The agent samples on the instance-wide
-    :class:`~repro.monitor.sampler.BatchSampler` tick. When the
-    simulator's columnar store has adopted its node and the exactness
-    preconditions hold (see :meth:`_enroll_columnar`), ``buffer`` is a
+    On load the agent adopts its node into the simulator's columnar
+    store and joins a :class:`~repro.monitor.sampler.SampleGroup` on its
+    tick grid. From then on ``buffer`` is a
     :class:`~repro.columnar.store.ColumnarRing` — a lazy view over the
-    sampler group's shared tick log — and the agent runs no per-tick
-    Python at all. Otherwise ``buffer`` is an explicit
-    :class:`~repro.monitor.buffer.CircularBuffer` filled by
-    :meth:`sample_in_batch`. Both produce byte-identical outputs.
+    group's shared tick log that the group fills — on every agent,
+    noisy sensors and restored snapshots included.
     """
 
     name = "power-monitor"
@@ -62,13 +57,13 @@ class NodeAgentModule(Module):
             raise ValueError("node agent requires a broker with hardware attached")
         super().__init__(broker)
         self.sample_interval_s = float(sample_interval_s)
-        self.buffer = CircularBuffer(buffer_capacity)
-        #: Columnar-side ring and sampler group while enrolled, else None.
-        self._ring = None
+        if buffer_capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {buffer_capacity}")
+        self.buffer_capacity = int(buffer_capacity)
+        #: The sample ring, set when the agent loads and joins its group.
+        self.buffer: ColumnarRing = None  # type: ignore[assignment]
+        #: The sampler group while loaded, else None.
         self._group = None
-        #: Samples taken into an explicit buffer (before enrolment or
-        #: after demotion); the ring counts the rest implicitly.
-        self._samples_scalar = 0
         #: Simulated time this agent started sampling; a query window
         #: opening earlier (e.g. after a crash/restart wiped the ring)
         #: is reported as partial even though the fresh buffer never
@@ -85,6 +80,10 @@ class NodeAgentModule(Module):
         # The node's telemetry plan, likewise fixed; passing it into
         # sample_cached skips the per-sample plan lookup.
         self._plan = self._backend.plan_for(broker.node)
+        # Noisy sensors draw RNG per sample, so the group samples them
+        # on every tick rather than only after power-state changes.
+        sensors = broker.node.sensors
+        self._noisy = sensors.noise_sigma_w > 0.0 and sensors._rng is not None
         self._g_occupancy = None
         self._g_dropped = None
         self._c_queries = None
@@ -110,6 +109,7 @@ class NodeAgentModule(Module):
         self.register_service(QUERY_TOPIC, self._handle_query)
         self.register_service(STATUS_TOPIC, self._handle_status)
         self.register_service(CLEAR_TOPIC, self._handle_clear)
+        columnar_store_of(self.sim).adopt(self.broker.node)
         # First sample at load time, then on the fixed grid.
         sampler_of(self.sim).register(self)
 
@@ -118,31 +118,15 @@ class NodeAgentModule(Module):
 
     @property
     def samples_taken(self) -> int:
-        ring = self._ring
-        if ring is not None:
-            return self._samples_scalar + ring.total_appended
-        return self._samples_scalar
+        return self.buffer.total_appended
 
     # ------------------------------------------------------------------
-    # Sampling loop
+    # Telemetry
     # ------------------------------------------------------------------
-    def sample_in_batch(self, now: float) -> None:
-        """One explicit-buffer sample, minus the shared-counter update
-        the batch tick owns (columnar members never run this)."""
-        buf = self.buffer
-        buf.append(
-            now, self._backend.sample_cached(self.broker.node, now, self._plan)
-        )
-        self._samples_scalar += 1
-        self._set_buffer_gauges()
-        # The per-sample collection cost — identical to the fraction
-        # that slows co-located apps (node_overhead_fraction).
-        self.broker.telemetry.accountant.charge("monitor", self._charge_s)
-
     def _set_buffer_gauges(self) -> None:
         """Write the per-rank occupancy/drop gauges from buffer state.
 
-        Last-write-wins, so the columnar store may defer these to its
+        Last-write-wins, so the columnar store defers these to its
         flush without changing any exported value.
         """
         if self._g_occupancy is None:
@@ -162,53 +146,6 @@ class NodeAgentModule(Module):
         self._g_dropped.set(buf.total_appended - retained)
 
     # ------------------------------------------------------------------
-    # Columnar enrolment / demotion
-    # ------------------------------------------------------------------
-    def _enroll_columnar(self, group) -> bool:
-        """Join ``group`` columnar-side if that stays byte-exact.
-
-        Called by the batch sampler at registration. Anything below
-        keeps the agent on the explicit-buffer path, per agent:
-
-        * the node is not adopted by this simulator's columnar store;
-        * sensors are noisy (per-sample RNG draws: skipping sample
-          bodies would shift every later draw);
-        * the per-sample accountant charge differs from the store-wide
-          constant (deferred replay is exact only for equal addends);
-        * the group already ticked at this instant (the same-instant
-          catch-up sample runs the explicit body).
-        """
-        store = columnar_of(self.sim)
-        node = self.broker.node
-        if store is None or node._col_sink is not store:
-            return False
-        sensors = node.sensors
-        if sensors.noise_sigma_w > 0.0 and sensors._rng is not None:
-            return False
-        if not store.accept_charge(self._charge_s):
-            return False
-        if group.last_tick_t == self.sim.now:
-            return False
-        self._ring = self.buffer = GroupColumns.ensure(group, store).add(self)
-        self._group = group
-        return True
-
-    def _demote(self) -> None:
-        """Back to an explicit buffer with identical logical contents,
-        and (if still sampling) onto the group's explicit-buffer list."""
-        ring = self._ring
-        if ring is None:
-            return
-        group = self._group
-        self._samples_scalar += ring.total_appended
-        self.buffer = ring.to_circular_buffer()
-        self._ring = None
-        self._group = None
-        if self in group.columns.agents:
-            group.columns.remove(self)
-            group.agents.append(self)
-
-    # ------------------------------------------------------------------
     # Crash recovery (see repro.lifecycle.snapshot)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -225,13 +162,16 @@ class NodeAgentModule(Module):
 
         A wipe re-bases ``_t_loaded`` at *now* — fresh-agent semantics:
         queries over earlier windows report partial data, exactly as
-        after a crash/restart that lost the ring.
+        after a crash/restart that lost the ring. The ring rebuilds in
+        place (:meth:`ColumnarRing.restore_state`), so the artifact must
+        come from this run at this instant; ``samples_taken`` is the
+        ring's ``total_appended``.
         """
-        self._demote()  # restored agents run on an explicit buffer
+        self.buffer.restore_state(state.get("buffer") or {})
         t_loaded = state.get("t_loaded")
         self._t_loaded = self.sim.now if t_loaded is None else float(t_loaded)
-        self._samples_scalar = int(state.get("samples_taken", 0))
-        self.buffer.restore_state(state.get("buffer") or {})
+        if self._group is not None:
+            self._group.rescan()
 
     # ------------------------------------------------------------------
     # Services
@@ -242,6 +182,9 @@ class NodeAgentModule(Module):
             t_end = float(msg.payload["t_end"])
         except (KeyError, TypeError, ValueError):
             broker.respond(msg, errnum=22, errmsg="need numeric t_start/t_end")
+            return
+        if math.isnan(t_start) or math.isnan(t_end):
+            broker.respond(msg, errnum=22, errmsg="NaN t_start/t_end")
             return
         if t_end < t_start:
             broker.respond(msg, errnum=22, errmsg="t_end < t_start")

@@ -22,6 +22,7 @@ job query into an errnum=5 failure. See docs/failures.md.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional
 
 from repro.flux.broker import Broker
@@ -159,6 +160,9 @@ class RootAgentModule(Module):
             return
         if not ranks:
             broker.respond(msg, errnum=22, errmsg="empty rank list")
+            return
+        if math.isnan(t_start) or math.isnan(t_end):
+            broker.respond(msg, errnum=22, errmsg="NaN t_start/t_end")
             return
         max_samples = msg.payload.get("max_samples")
         self.broker.telemetry.metrics.counter(

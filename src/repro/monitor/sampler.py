@@ -4,10 +4,11 @@ Each node agent samples on its own fixed grid (``first, first +
 period, ...``), but a 792-node instance must not push 792 heap events
 through the engine every 2 s window just to run 792 purely-local
 sample bodies. This coordinator coalesces them: agents sharing a tick
-grid register into one group, and a single periodic event walks the
-group each interval. Members enrolled in the columnar store
-(:mod:`repro.columnar`) cost O(1) per tick together; the rest keep an
-explicit ring buffer and run :meth:`NodeAgentModule.sample_in_batch`.
+grid register into one :class:`SampleGroup`, and a single periodic
+event ticks the group each interval. Every member samples into a
+:class:`~repro.columnar.store.ColumnarRing` over the group's shared
+tick log, so a quiet tick costs O(1) however many members share it
+(:mod:`repro.columnar.store` has the layout).
 
 Determinism invariants (docs/performance.md has the full argument);
 the reference is one independent periodic timer per agent, which the
@@ -21,11 +22,12 @@ golden fixtures were recorded with:
   exactly like its own timer.
 * **In-group order is registration order**, which is the sequence
   order the agents' individual timers would have been created in — so
-  same-tick samples run in the same relative order as per-node events.
-* **Sample bodies are local.** They append to the node's ring buffer,
-  update per-rank gauges and charge the overhead accountant; they
-  never send messages, schedule events or draw cross-node RNG, so
-  fusing them into one callback cannot reorder anything observable.
+  same-tick sensor reads (the RNG draws of noisy sensors) and the
+  queued accountant charges keep the per-node event order.
+* **Sample bodies are local.** They update the node's ring, per-rank
+  gauges and the overhead accountant; they never send messages,
+  schedule events or draw cross-node RNG, so fusing them into one
+  callback cannot reorder anything observable.
 * **Telemetry is batched but value-identical**: the shared
   ``monitor_samples_total`` counter takes one ``inc(n)`` per tick —
   integer-valued float addition is exact, so the total equals n
@@ -39,14 +41,19 @@ timer would likewise have fired late, after the current event.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.columnar.store import ColumnarRing, TickLog, columnar_store_of
 from repro.simkernel.engine import ScheduledEvent, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.monitor.node_agent import NodeAgentModule
 
 _ATTR = "_monitor_batch_sampler"
+
+_tick_seq = attrgetter("_tick_seq")
 
 
 def sampler_of(sim: Simulator) -> "BatchSampler":
@@ -58,10 +65,14 @@ def sampler_of(sim: Simulator) -> "BatchSampler":
     return sampler
 
 
-class _SampleGroup:
-    """Agents sharing one tick grid, driven by one reused engine event."""
+class SampleGroup:
+    """Agents sharing one tick grid, driven by one reused engine event
+    and sampling into one shared tick log."""
 
-    __slots__ = ("key", "agents", "columns", "event", "last_tick_t", "_sampler")
+    __slots__ = (
+        "key", "members", "log", "event", "last_tick_t", "_tick_seq",
+        "_sampler", "_store", "_seen_global_rev", "_noisy", "_charge_runs",
+    )
 
     def __init__(
         self,
@@ -70,32 +81,99 @@ class _SampleGroup:
         first_time: float,
     ) -> None:
         self.key = (interval, first_time)
-        self.agents: List["NodeAgentModule"] = []
-        #: Columnar members (a ``repro.columnar`` GroupColumns), or
-        #: None while every member keeps an explicit buffer.
-        self.columns = None
+        self.members: List["NodeAgentModule"] = []
+        self.log = TickLog()
         self.last_tick_t: Optional[float] = None
+        #: Engine-wide ordinal of this group's last tick.
+        self._tick_seq = 0
         self._sampler = sampler
+        self._store = columnar_store_of(sampler.sim)
+        self._seen_global_rev = -1
+        #: Derived from ``members`` at the first tick after a change:
+        #: the noisy-sensor members, and the members' per-sample
+        #: charges as ``(charge, count)`` runs, both in member order.
+        self._noisy: List["NodeAgentModule"] = []
+        self._charge_runs: Optional[List[Tuple[float, int]]] = None
         self.event: ScheduledEvent = sampler.sim.schedule_periodic(
             interval, self._tick, first_time=first_time
         )
 
+    # -- membership -----------------------------------------------------
+    def add(self, agent: "NodeAgentModule") -> None:
+        """Enrol ``agent`` with a ring starting after the last tick."""
+        g = agent.broker.node.sensors.granularity_s
+        self.log.ensure_granularity(g)
+        agent.buffer = ColumnarRing(
+            self.log, g, capacity=agent.buffer_capacity, start=self.log.n
+        )
+        agent._group = self
+        self.members.append(agent)
+        self._charge_runs = None
+        # The newcomer gets its first segment on the next tick even
+        # with no power-state change.
+        self.rescan()
+
+    def remove(self, agent: "NodeAgentModule") -> None:
+        self.members.remove(agent)
+        self._charge_runs = None
+        agent._group = None
+        agent.buffer.freeze()
+
+    def rescan(self) -> None:
+        """Re-check every member's segment on the next tick."""
+        self._seen_global_rev = -1
+
+    def _reindex(self) -> None:
+        self._charge_runs = [
+            (charge, sum(1 for _ in run))
+            for charge, run in groupby(agent._charge_s for agent in self.members)
+        ]
+        self._noisy = [agent for agent in self.members if agent._noisy]
+
+    # -- the tick -------------------------------------------------------
     def _tick(self) -> None:
-        agents = self.agents
-        cols = self.columns
-        n_cols = len(cols.agents) if cols is not None else 0
-        n = len(agents) + n_cols
-        if n == 0:
+        members = self.members
+        if not members:
             return
         sampler = self._sampler
         now = sampler.sim.now
         self.last_tick_t = now
-        any_agent = agents[0] if agents else cols.agents[0]
-        sampler.samples_counter(any_agent).inc(n)
-        if n_cols:
-            cols.tick(now)
-        for agent in agents:
-            agent.sample_in_batch(now)
+        sampler._ticks += 1
+        self._tick_seq = sampler._ticks
+        sampler.samples_counter(members[0]).inc(len(members))
+        log = self.log
+        log.tick(now)
+        if self._charge_runs is None:
+            self._reindex()
+        store = self._store
+        if store.global_rev != self._seen_global_rev:
+            self._seen_global_rev = store.global_rev
+            scan = members
+        else:
+            scan = self._noisy
+        idx = log.n - 1
+        for agent in scan:
+            node = agent.broker.node
+            ring = agent.buffer
+            rev = node.power_rev
+            if agent._noisy or ring.segment_rev != rev:
+                ring.push_segment(
+                    idx, rev, agent._backend.sample_cached(node, now, agent._plan)
+                )
+        store.enqueue_charges(self._charge_runs)
+
+    def catch_up(self, agent: "NodeAgentModule") -> None:
+        """The sample ``agent``'s own timer would have taken at the
+        group's last tick, taken now (same instant, later in order)."""
+        ring = agent.buffer
+        ring.adopt_last_tick()
+        node = agent.broker.node
+        ring.push_segment(
+            self.log.n - 1,
+            node.power_rev,
+            agent._backend.sample_cached(node, self._sampler.sim.now, agent._plan),
+        )
+        self._store.enqueue_charges(((agent._charge_s, 1),))
 
 
 class BatchSampler:
@@ -103,8 +181,10 @@ class BatchSampler:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._groups: Dict[Tuple[float, float], _SampleGroup] = {}
+        self._groups: Dict[Tuple[float, float], SampleGroup] = {}
         self._samples_counter = None
+        #: Group ticks so far, across every group.
+        self._ticks = 0
 
     def samples_counter(self, agent: "NodeAgentModule"):
         """The shared samples counter, resolved lazily so the metric
@@ -117,7 +197,8 @@ class BatchSampler:
         return self._samples_counter
 
     def register(self, agent: "NodeAgentModule") -> None:
-        """Start sampling ``agent`` on its grid (first tick now)."""
+        """Start sampling ``agent`` on its grid (first tick now): sets
+        its ``buffer`` ring and its group."""
         interval = agent.sample_interval_s
         now = self.sim.now
         key = (interval, now)
@@ -129,19 +210,17 @@ class BatchSampler:
             # singleton group that drives its own engine event forever.
             group = self._aligned_group(interval, now)
         if group is None:
-            group = _SampleGroup(self, interval, now)
+            group = SampleGroup(self, interval, now)
             self._groups[key] = group
-        if agent._enroll_columnar(group):
-            return
+        group.add(agent)
         if group.last_tick_t == now:
             # The group already ticked at this instant; the agent's own
             # timer would still have fired (later in sequence order).
             self.sim.schedule(0.0, self._catch_up, agent, group)
-        group.agents.append(agent)
 
     def _aligned_group(
         self, interval: float, now: float
-    ) -> Optional[_SampleGroup]:
+    ) -> Optional[SampleGroup]:
         """An existing group whose nominal grid hits ``now`` exactly.
 
         Grid times are the float-accumulated ``first + interval + ...``
@@ -159,20 +238,26 @@ class BatchSampler:
 
     def unregister(self, agent: "NodeAgentModule") -> None:
         """Stop sampling ``agent``; empty groups cancel their event."""
-        for key, group in list(self._groups.items()):
-            cols = group.columns
-            if agent in group.agents:
-                group.agents.remove(agent)
-            elif cols is not None and agent in cols.agents:
-                cols.remove(agent)
-            else:
-                continue
-            if not group.agents and (cols is None or not cols.agents):
-                group.event.cancel()
-                del self._groups[key]
+        group = agent._group
+        if group is None:
             return
+        group.remove(agent)
+        if not group.members:
+            group.event.cancel()
+            del self._groups[group.key]
 
-    def _catch_up(self, agent: "NodeAgentModule", group: _SampleGroup) -> None:
-        if agent in group.agents:
+    def _catch_up(self, agent: "NodeAgentModule", group: SampleGroup) -> None:
+        if agent._group is group:
             self.samples_counter(agent).inc()
-            agent.sample_in_batch(self.sim.now)
+            group.catch_up(agent)
+
+    def flush_gauges(self) -> None:
+        """Write every member's deferred buffer gauges.
+
+        Groups write in the order they last ticked, so where sibling
+        instances on one engine share a gauge (same rank label), the
+        agent that sampled last wins, as with per-sample writes.
+        """
+        for group in sorted(self._groups.values(), key=_tick_seq):
+            for agent in group.members:
+                agent._set_buffer_gauges()

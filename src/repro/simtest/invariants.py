@@ -249,7 +249,8 @@ class CapRangeChecker(InvariantChecker):
 
 
 class BufferChecker(InvariantChecker):
-    """Ring buffers: monotonic timestamps, consistent occupancy math."""
+    """Ring buffers: monotonic timestamps, consistent occupancy math,
+    at most one segment more than retained samples."""
 
     name = "buffer"
 
@@ -280,6 +281,15 @@ class BufferChecker(InvariantChecker):
                         f"rank {broker.rank} buffer accounting inconsistent "
                         f"(appended={buf.total_appended}, retained={n})",
                         rank=broker.rank, appended=buf.total_appended, retained=n,
+                    )
+                )
+            if len(buf.segments) > n + 1:
+                out.append(
+                    self.violation(
+                        ctx,
+                        f"rank {broker.rank} ring keeps {len(buf.segments)} "
+                        f"segments for {n} retained samples",
+                        rank=broker.rank, segments=len(buf.segments), len=n,
                     )
                 )
             last = -math.inf

@@ -1,5 +1,7 @@
 """Error-path coverage for the monitor stack."""
 
+import math
+
 import pytest
 
 from repro.faults.injector import FaultInjector
@@ -11,6 +13,8 @@ from repro.flux.module import RetryConfig
 from repro.monitor.module import attach_monitor
 from repro.monitor.node_agent import NodeAgentModule
 from repro.monitor.root_agent import GET_JOB_POWER_TOPIC, RootAgentModule
+
+NAN = float("nan")
 
 
 def _degraded_total(instance):
@@ -72,6 +76,57 @@ def test_get_job_power_missing_args(lassen4):
     lassen4.run_for(1.0)
     with pytest.raises(FluxRPCError):
         _ = fut.value
+
+
+@pytest.mark.parametrize("window", [(NAN, 20.0), (0.0, NAN), (NAN, NAN)])
+def test_node_agent_rejects_nan_window(lassen4, window):
+    """A NaN bound is an invalid argument, not an empty or full window."""
+    attach_monitor(lassen4, buffer_capacity=4)
+    lassen4.run_for(20.0)
+    fut = lassen4.brokers[0].rpc(
+        1, "power-monitor.query", {"t_start": window[0], "t_end": window[1]}
+    )
+    lassen4.run_for(1.0)
+    with pytest.raises(FluxRPCError) as err:
+        _ = fut.value
+    assert err.value.errnum == 22
+
+
+@pytest.mark.parametrize("strategy", ["fanout", "tree"])
+@pytest.mark.parametrize("window", [(NAN, 20.0), (0.0, NAN)])
+def test_get_job_power_rejects_nan_window(strategy, window):
+    inst = FluxInstance(platform="lassen", n_nodes=4, seed=3)
+    attach_monitor(inst, strategy=strategy)
+    inst.run_for(20.0)
+    before = inst.telemetry.metrics.series_for("monitor_aggregations_total")
+    fut = inst.brokers[0].rpc(
+        0, GET_JOB_POWER_TOPIC,
+        {"ranks": [0, 1, 2, 3], "t_start": window[0], "t_end": window[1]},
+    )
+    inst.run_for(1.0)
+    with pytest.raises(FluxRPCError) as err:
+        _ = fut.value
+    assert err.value.errnum == 22
+    # Rejected up front: no aggregation was started.
+    assert inst.telemetry.metrics.series_for("monitor_aggregations_total") == before
+
+
+def test_infinite_query_bounds_still_accepted(lassen4):
+    attach_monitor(lassen4)
+    lassen4.run_for(10.0)
+    futs = [
+        lassen4.brokers[0].rpc(
+            0, GET_JOB_POWER_TOPIC,
+            {"ranks": [0, 1], "t_start": t0, "t_end": math.inf},
+        )
+        for t0 in (0.0, -math.inf)
+    ]
+    lassen4.run_for(1.0)
+    from_load, unbounded = (f.value["nodes"] for f in futs)
+    assert [len(n["samples"]) for n in from_load + unbounded] == [6] * 4
+    assert all(n["complete"] for n in from_load)
+    # The window opens before the agents started sampling: partial.
+    assert not any(n["complete"] for n in unbounded)
 
 
 def test_tree_strategy_partial_rank_subsets():

@@ -33,7 +33,7 @@ def test_mid_run_enrolment_joins_aligned_group_after_tick():
 
     agent = monitor.reload_agent(2)
     assert len(sampler._groups) == 1, "reload must not spawn a singleton group"
-    assert agent in group.agents
+    assert agent in group.members
     # The catch-up sample (a per-agent timer would also have fired at
     # this instant) plus the subsequent grid ticks, all on the grid.
     inst.run_for(4.0)
@@ -56,7 +56,7 @@ def test_mid_run_enrolment_joins_group_with_pending_tick():
     assert len(sampler._groups) == 1
     (group,) = sampler._groups.values()
     (agent,) = reloaded
-    assert agent in group.agents or agent in group.columns.agents
+    assert agent in group.members
     times = [t for t, _sample in agent.buffer.snapshot()]
     assert times == [6.0, 8.0, 10.0]
 

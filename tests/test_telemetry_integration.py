@@ -160,27 +160,23 @@ def test_deferred_sampling_state_visible_to_direct_reads():
     Columnar rings defer their buffer gauges and ``monitor`` charges to
     a flush. ``names()``/``series_for()`` and the accountant's
     ``seconds()``/``categories()`` must flush first, and so read exactly
-    what the same run reads with every agent on an explicit buffer.
+    what per-sample writes would have left: full gauges and the
+    sequential sum of every sample's charge.
     """
     from repro.flux.instance import FluxInstance
     from repro.monitor.module import attach_monitor
 
-    def reads(demote: bool):
-        inst = FluxInstance(platform="lassen", n_nodes=4, seed=5)
-        monitor = attach_monitor(inst, sample_interval_s=2.0)
-        if demote:
-            for agent in monitor.node_agents:
-                agent._demote()
-        inst.run_for(9.0)
-        tel = inst.telemetry
-        return (
-            "monitor_buffer_occupancy" in tel.metrics.names(),
-            [m.value for m in tel.metrics.series_for("monitor_buffer_occupancy")],
-            tel.accountant.categories(),
-            tel.accountant.seconds("monitor"),
-        )
-
-    columnar, explicit = reads(False), reads(True)
-    assert explicit[0] and explicit[1] == [5.0] * 4
-    assert explicit[2] == ["monitor"] and explicit[3] > 0.0
-    assert columnar == explicit
+    inst = FluxInstance(platform="lassen", n_nodes=4, seed=5)
+    monitor = attach_monitor(inst, sample_interval_s=2.0)
+    inst.run_for(9.0)  # ticks at 0, 2, 4, 6, 8
+    tel = inst.telemetry
+    assert "monitor_buffer_occupancy" in tel.metrics.names()
+    assert [
+        m.value for m in tel.metrics.series_for("monitor_buffer_occupancy")
+    ] == [5.0] * 4
+    assert tel.accountant.categories() == ["monitor"]
+    expected = 0.0
+    for _ in range(5 * 4):
+        expected += monitor.node_agents[0]._charge_s
+    assert expected > 0.0
+    assert tel.accountant.seconds("monitor") == expected

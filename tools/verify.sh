@@ -12,7 +12,8 @@
 #   policies - the quick policy head-to-head, byte-diffed against the
 #              committed fixture tests/golden/policy_head_to_head.csv
 #   lifecycle - snapshot schema-version lint + a seeded 16-node
-#              crash→snapshot→restore→digest-equivalence check
+#              crash→snapshot→restore→digest-equivalence check + a
+#              10-seed crash-recovery fuzz (ring restores included)
 #   serve    - serving-tier gate: boot a 16-node cluster behind the API
 #              (`repro serve --smoke`), then a seeded 100-client
 #              loadtest that must finish with zero errors and p99
@@ -119,6 +120,8 @@ for stage in $STAGES; do
             python -m repro.cli lifecycle --schema-lint
             banner "lifecycle: crash-restore digest equivalence (seed $REPRO_LIFECYCLE_SEED, 16 nodes)"
             python -m repro.cli lifecycle --seed "$REPRO_LIFECYCLE_SEED" --nodes 16
+            banner "lifecycle: crash-recovery fuzz (10 seeds)"
+            python -m repro.cli lifecycle --fuzz 10
             ;;
         serve)
             banner "serve: API boot smoke (16 nodes over HTTP)"
