@@ -298,40 +298,37 @@ def _digest_matches(digest: str, expected: str) -> bool:
     return len(expected) >= 12 and digest.startswith(expected)
 
 
-def _cmd_simtest(args: argparse.Namespace) -> int:
-    """Seeded scenario fuzzing: batch runs, seed replay, artifact replay."""
-    from repro.simtest import (
-        Scenario,
-        default_checkers,
-        generate_scenario,
-        load_reproducer,
-        run_batch,
-        run_scenario,
-    )
+def _print_result(result, max_violations: int) -> None:
+    print(result.summary())
+    if not result.ok:
+        for v in result.violations[:max_violations]:
+            print(f"  [{v.invariant}] t={v.t:.3f}: {v.message}")
 
-    if args.replay:
-        scenario = load_reproducer(args.replay)
-        result = run_scenario(scenario, checkers=default_checkers())
-        print(result.summary())
-        if not result.ok:
-            for v in result.violations[: args.max_violations]:
-                print(f"  [{v.invariant}] t={v.t:.3f}: {v.message}")
+
+def _run_fuzz(args: argparse.Namespace, tier, config=None) -> int:
+    """The fuzz front every tier's command shares: artifact replay
+    (``--replay``), one seed (``--seed``, optionally ``--expect-digest``)
+    or a batch. Flags a command does not define read as unset."""
+    from repro.simtest.fuzzer import run_batch
+    from repro.simtest.shrink import load_reproducer
+
+    if getattr(args, "replay", None):
+        try:
+            scenario = load_reproducer(args.replay, tier.scenario_cls)
+        except ValueError as exc:
+            print(f"cannot replay: {exc}", file=sys.stderr)
+            return 2
+        result = tier.run(scenario)
+        _print_result(result, args.max_violations)
         return 0 if result.ok else 1
 
     if args.seed is not None:
-        result = run_scenario(
-            generate_scenario(args.seed), checkers=default_checkers()
-        )
-        print(result.summary())
-        if not result.ok:
-            for v in result.violations[: args.max_violations]:
-                print(f"  [{v.invariant}] t={v.t:.3f}: {v.message}")
-        if args.expect_digest and not _digest_matches(
-            result.digest, args.expect_digest
-        ):
+        result = tier.run_seed(args.seed, config)
+        _print_result(result, args.max_violations)
+        expected = getattr(args, "expect_digest", None)
+        if expected and not _digest_matches(result.digest, expected):
             print(
-                f"digest mismatch: got {result.digest}, "
-                f"expected {args.expect_digest}",
+                f"digest mismatch: got {result.digest}, expected {expected}",
                 file=sys.stderr,
             )
             return 2
@@ -340,16 +337,25 @@ def _cmd_simtest(args: argparse.Namespace) -> int:
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     report = run_batch(
         seeds,
-        shrink=not args.no_shrink,
+        config=config,
+        shrink=not getattr(args, "no_shrink", False),
         artifact_dir=args.artifacts,
         progress=(
             (lambda r: print(r.summary(), file=sys.stderr))
             if args.verbose
             else None
         ),
+        tier=tier,
     )
     print(report.summary())
     return 0 if report.ok else 1
+
+
+def _cmd_simtest(args: argparse.Namespace) -> int:
+    """Seeded scenario fuzzing: batch runs, seed replay, artifact replay."""
+    from repro.simtest.fuzzer import SINGLE_TIER
+
+    return _run_fuzz(args, SINGLE_TIER)
 
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
@@ -360,38 +366,12 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
         run_demo(args.seed if args.seed is not None else 0, csv_path=args.csv)
         return 0
 
-    from repro.simtest import default_checkers, generate_scenario, run_scenario
-    from repro.simtest.fuzzer import run_batch
+    from repro.simtest.fuzzer import SINGLE_TIER
     from repro.simtest.scenario import GeneratorConfig
 
     # Every seed carries a tenant mix (the knob rides its own substream,
     # so the rest of the scenario matches plain `repro simtest` seeds).
-    config = GeneratorConfig(p_tenancy=1.0)
-
-    if args.seed is not None:
-        result = run_scenario(
-            generate_scenario(args.seed, config), checkers=default_checkers()
-        )
-        print(result.summary())
-        if not result.ok:
-            for v in result.violations[: args.max_violations]:
-                print(f"  [{v.invariant}] t={v.t:.3f}: {v.message}")
-        return 0 if result.ok else 1
-
-    seeds = range(args.seed_start, args.seed_start + args.seeds)
-    report = run_batch(
-        seeds,
-        config=config,
-        shrink=not args.no_shrink,
-        artifact_dir=args.artifacts,
-        progress=(
-            (lambda r: print(r.summary(), file=sys.stderr))
-            if args.verbose
-            else None
-        ),
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
+    return _run_fuzz(args, SINGLE_TIER, GeneratorConfig(p_tenancy=1.0))
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
@@ -410,54 +390,9 @@ def _cmd_federate(args: argparse.Namespace) -> int:
             print(line, file=sys.stderr)
         return 0
 
-    from repro.simtest.federation import (
-        generate_federated_scenario,
-        load_federated_reproducer,
-        run_federated_batch,
-        run_federated_scenario,
-    )
-    from repro.simtest.invariants import site_checkers
+    from repro.simtest.federation import FEDERATED_TIER
 
-    if args.replay:
-        scenario = load_federated_reproducer(args.replay)
-        result = run_federated_scenario(scenario, checkers=site_checkers())
-        print(result.summary())
-        if not result.ok:
-            for v in result.violations[: args.max_violations]:
-                print(f"  [{v.invariant}] t={v.t:.3f}: {v.message}")
-        return 0 if result.ok else 1
-
-    if args.seed is not None:
-        result = run_federated_scenario(
-            generate_federated_scenario(args.seed), checkers=site_checkers()
-        )
-        print(result.summary())
-        if not result.ok:
-            for v in result.violations[: args.max_violations]:
-                print(f"  [{v.invariant}] t={v.t:.3f}: {v.message}")
-        if args.expect_digest and not _digest_matches(
-            result.digest, args.expect_digest
-        ):
-            print(
-                f"digest mismatch: got {result.digest}, "
-                f"expected {args.expect_digest}",
-                file=sys.stderr,
-            )
-            return 2
-        return 0 if result.ok else 1
-
-    seeds = range(args.seed_start, args.seed_start + args.seeds)
-    report = run_federated_batch(
-        seeds,
-        artifact_dir=args.artifacts,
-        progress=(
-            (lambda r: print(r.summary(), file=sys.stderr))
-            if args.verbose
-            else None
-        ),
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
+    return _run_fuzz(args, FEDERATED_TIER)
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:

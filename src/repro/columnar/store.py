@@ -74,7 +74,7 @@ def columnar_store_of(sim: "Simulator") -> "ColumnarNodeStore":
 def _wire_timestamp(t: float, granularity_s: float) -> float:
     """The finished-sample timestamp for a tick at raw time ``t``.
 
-    Identical arithmetic to the sensor read + ``base_sample`` path
+    Identical arithmetic to the sensor read + ``telemetry_sample`` path
     (``math.floor(t/g)*g`` then ``round(..., 6)``) so a materialised
     columnar sample carries the exact float the scalar path stores.
     """

@@ -125,7 +125,74 @@ def _error_records(
     return records
 
 
-class RootAgentModule(Module):
+class _TreeCollector(Module):
+    """Collection legs shared by the root agent and the subtree
+    aggregators: per-node and per-subtree watchers with retry and
+    degradation, and the subtree gather both tree levels run."""
+
+    def __init__(
+        self, broker: Broker, retry: Optional[RetryConfig] = None
+    ) -> None:
+        super().__init__(broker)
+        self.retry = retry if retry is not None else RetryConfig()
+
+    def _watch_node(self, rank: int, query: Dict[str, Any], future: SimEvent):
+        """One fan-out leg: retry the node query, degrade on exhaustion."""
+        try:
+            res = yield from self.rpc_with_retry(
+                rank, QUERY_TOPIC, query, retry=self.retry, first_future=future
+            )
+            return [res]
+        except FluxRPCError as exc:
+            return _error_records(self.broker, [rank], exc)
+
+    def _watch_subtree(self, child: int, subranks, payload, future: SimEvent):
+        """One tree leg: a dead child degrades its whole subtree."""
+        try:
+            res = yield from self.rpc_with_retry(
+                child, SUBTREE_TOPIC, payload,
+                retry=_subtree_retry(
+                    self.retry, self.broker.overlay, child, subranks
+                ),
+                first_future=future,
+            )
+            return res["nodes"]
+        except FluxRPCError as exc:
+            return _error_records(self.broker, subranks, exc)
+
+    def _gather_subtree(self, ranks, t0: float, t1: float, max_samples=None):
+        """Collect ``ranks`` from this broker's subtree: a node leg for
+        this broker, one subtree leg per child whose subtree intersects
+        ``ranks``; returns the merged per-node records."""
+        rank = self.broker.rank
+        extra = {} if max_samples is None else {"max_samples": max_samples}
+        legs = []  # (kind, target, subranks, payload)
+        if rank in ranks:
+            legs.append(("node", rank, [rank], {"t_start": t0, "t_end": t1, **extra}))
+        for child in self.broker.overlay.children(rank):
+            subtree = _subtree_ranks(self.broker.overlay, child) & ranks
+            if subtree:
+                sub = sorted(subtree)
+                legs.append(
+                    ("subtree", child, sub, _subtree_query(sub, t0, t1, extra))
+                )
+        futures = [
+            self.rpc(target, QUERY_TOPIC if kind == "node" else SUBTREE_TOPIC, payload)
+            for kind, target, _, payload in legs
+        ]
+        watchers = [
+            self.spawn(
+                self._watch_node(target, payload, fut)
+                if kind == "node"
+                else self._watch_subtree(target, subranks, payload, fut)
+            )
+            for (kind, target, subranks, payload), fut in zip(legs, futures)
+        ]
+        results = yield AllOf(self.sim, watchers)
+        return _merge_legs(results)
+
+
+class RootAgentModule(_TreeCollector):
     """Aggregates job telemetry from node agents for external clients."""
 
     name = "power-monitor-root"
@@ -140,9 +207,8 @@ class RootAgentModule(Module):
             raise ValueError("root agent runs at the TBON root (rank 0)")
         if strategy not in ("fanout", "tree"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        super().__init__(broker)
+        super().__init__(broker, retry)
         self.strategy = strategy
-        self.retry = retry if retry is not None else RetryConfig()
 
     def on_load(self) -> None:
         self.register_service(GET_JOB_POWER_TOPIC, self._handle_get_job_power)
@@ -201,30 +267,6 @@ class RootAgentModule(Module):
                 failed_nodes=n_errors, of=n_ranks, strategy=self.strategy,
             )
 
-    def _watch_node(self, rank: int, query: Dict[str, Any], future: SimEvent):
-        """One fan-out leg: retry the node query, degrade on exhaustion."""
-        try:
-            res = yield from self.rpc_with_retry(
-                rank, QUERY_TOPIC, query, retry=self.retry, first_future=future
-            )
-            return [res]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, [rank], exc)
-
-    def _watch_subtree(self, child: int, subranks, payload, future: SimEvent):
-        """One tree leg: a dead child degrades its whole subtree."""
-        try:
-            res = yield from self.rpc_with_retry(
-                child, SUBTREE_TOPIC, payload,
-                retry=_subtree_retry(
-                    self.retry, self.broker.overlay, child, subranks
-                ),
-                first_future=future,
-            )
-            return res["nodes"]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, subranks, exc)
-
     def _collect_fanout(
         self, msg: Message, ranks: List[int], t0: float, t1: float, max_samples=None
     ):
@@ -250,39 +292,14 @@ class RootAgentModule(Module):
     def _collect_tree(
         self, msg: Message, ranks: List[int], t0: float, t1: float, max_samples=None
     ):
-        """Hierarchical collection: ask each root child for its subtree."""
+        """Hierarchical collection: the subtree collection rooted at rank 0."""
         t_begin = self.sim.now
-        wanted = set(ranks)
-        extra = {} if max_samples is None else {"max_samples": max_samples}
-        legs = []  # (kind, target, subranks, payload)
-        if 0 in wanted:
-            legs.append(("node", 0, [0], {"t_start": t0, "t_end": t1, **extra}))
-        for child in self.broker.overlay.children(0):
-            subtree = _subtree_ranks(self.broker.overlay, child) & wanted
-            if subtree:
-                sub = sorted(subtree)
-                legs.append(
-                    ("subtree", child, sub, _subtree_query(sub, t0, t1, extra))
-                )
-        futures = [
-            self.rpc(target, QUERY_TOPIC if kind == "node" else SUBTREE_TOPIC, payload)
-            for kind, target, _, payload in legs
-        ]
-        watchers = [
-            self.spawn(
-                self._watch_node(target, payload, fut)
-                if kind == "node"
-                else self._watch_subtree(target, subranks, payload, fut)
-            )
-            for (kind, target, subranks, payload), fut in zip(legs, futures)
-        ]
-        results = yield AllOf(self.sim, watchers)
-        nodes = _merge_legs(results)
+        nodes = yield from self._gather_subtree(set(ranks), t0, t1, max_samples)
         self._finish_aggregation(t_begin, len(ranks), nodes)
         self.broker.respond(msg, {"nodes": nodes})
 
 
-class SubtreeAggregatorModule(Module):
+class SubtreeAggregatorModule(_TreeCollector):
     """Loaded on every broker when using the ``tree`` strategy.
 
     Answers :data:`SUBTREE_TOPIC` by querying its own node agent plus
@@ -294,12 +311,6 @@ class SubtreeAggregatorModule(Module):
 
     name = "power-monitor-subtree"
 
-    def __init__(
-        self, broker: Broker, retry: Optional[RetryConfig] = None
-    ) -> None:
-        super().__init__(broker)
-        self.retry = retry if retry is not None else RetryConfig()
-
     def on_load(self) -> None:
         self.register_service(SUBTREE_TOPIC, self._handle_subtree)
 
@@ -309,61 +320,8 @@ class SubtreeAggregatorModule(Module):
         t1 = float(msg.payload["t_end"])
         self.spawn(self._collect(msg, ranks, t0, t1, msg.payload.get("max_samples")))
 
-    def _watch_node(self, rank: int, query, future: SimEvent):
-        try:
-            res = yield from self.rpc_with_retry(
-                rank, QUERY_TOPIC, query, retry=self.retry, first_future=future
-            )
-            return [res]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, [rank], exc)
-
-    def _watch_subtree(self, child: int, subranks, payload, future: SimEvent):
-        try:
-            res = yield from self.rpc_with_retry(
-                child, SUBTREE_TOPIC, payload,
-                retry=_subtree_retry(
-                    self.retry, self.broker.overlay, child, subranks
-                ),
-                first_future=future,
-            )
-            return res["nodes"]
-        except FluxRPCError as exc:
-            return _error_records(self.broker, subranks, exc)
-
     def _collect(self, msg: Message, ranks, t0: float, t1: float, max_samples=None):
-        extra = {} if max_samples is None else {"max_samples": max_samples}
-        legs = []
-        if self.broker.rank in ranks:
-            legs.append(
-                (
-                    "node",
-                    self.broker.rank,
-                    [self.broker.rank],
-                    {"t_start": t0, "t_end": t1, **extra},
-                )
-            )
-        for child in self.broker.overlay.children(self.broker.rank):
-            subtree = _subtree_ranks(self.broker.overlay, child) & ranks
-            if subtree:
-                sub = sorted(subtree)
-                legs.append(
-                    ("subtree", child, sub, _subtree_query(sub, t0, t1, extra))
-                )
-        futures = [
-            self.rpc(target, QUERY_TOPIC if kind == "node" else SUBTREE_TOPIC, payload)
-            for kind, target, _, payload in legs
-        ]
-        watchers = [
-            self.spawn(
-                self._watch_node(target, payload, fut)
-                if kind == "node"
-                else self._watch_subtree(target, subranks, payload, fut)
-            )
-            for (kind, target, subranks, payload), fut in zip(legs, futures)
-        ]
-        results = yield AllOf(self.sim, watchers)
-        nodes = _merge_legs(results)
+        nodes = yield from self._gather_subtree(ranks, t0, t1, max_samples)
         self.broker.respond(msg, {"nodes": nodes})
 
 

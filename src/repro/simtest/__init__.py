@@ -19,12 +19,21 @@ FoundationDB / TigerBeetle simulation-testing harnesses:
   never decreasing) as machine-checked predicates.
 * :mod:`~repro.simtest.harness` — runs one scenario under the checkers
   and produces a :class:`~repro.simtest.harness.SimtestResult` with a
-  replayable digest.
+  replayable digest. Its run loop (:func:`~repro.simtest.harness.run_checked`:
+  invariant tick, liveness, drain, end-of-run telemetry fetch) is the
+  one every tier uses.
 * :mod:`~repro.simtest.shrink` — on violation, bisects the scenario
   (fewer jobs → fewer faults → smaller cluster → shorter horizon) to a
-  minimal reproducer and emits it as a runnable JSON artifact.
-* :mod:`~repro.simtest.fuzzer` — the ``repro simtest --seeds N`` batch
-  driver; also behind the ``simtest`` pytest marker.
+  minimal reproducer; also the one reproducer format
+  (:func:`~repro.simtest.shrink.write_reproducer` /
+  :func:`~repro.simtest.shrink.load_reproducer`) for every tier.
+* :mod:`~repro.simtest.fuzzer` — the batch driver behind ``repro
+  simtest``, ``repro tenants`` and ``repro federate``: a
+  :class:`~repro.simtest.fuzzer.Tier` says how a seed becomes a
+  scenario and a checked run; also behind the ``simtest`` pytest
+  marker.
+* :mod:`~repro.simtest.federation` — the site tier: federated scenarios
+  and their harness, driven through the same core.
 
 See docs/testing.md for the workflow (including how to replay a seed).
 """
@@ -49,7 +58,7 @@ from repro.simtest.shrink import (
     shrink_scenario,
     write_reproducer,
 )
-from repro.simtest.fuzzer import BatchReport, run_batch
+from repro.simtest.fuzzer import SINGLE_TIER, BatchReport, Tier, run_batch
 
 __all__ = [
     "Scenario",
@@ -65,6 +74,8 @@ __all__ = [
     "write_reproducer",
     "load_reproducer",
     "BatchReport",
+    "Tier",
+    "SINGLE_TIER",
     "run_batch",
     "site_checkers",
 ]

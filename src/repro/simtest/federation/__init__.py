@@ -1,11 +1,14 @@
-"""repro.simtest.federation — the site-tier simulation-test harness.
+"""repro.simtest.federation — the site tier of the simulation tests.
 
 Extends :mod:`repro.simtest` one level up the hierarchy: seeded
 federated scenarios (2–4 clusters, mixed platforms, per-cluster fault
-campaigns and whole-cluster outages), the harness running them under
-both the new site-level checkers (``site_budget``, ``floor_ceiling``)
-and one fresh set of every single-cluster checker per member cluster,
-and the ``repro federate`` batch driver. See docs/federation.md.
+campaigns and whole-cluster outages) and the harness running them under
+both the site-level checkers (``site_budget``, ``floor_ceiling``) and
+one fresh set of every single-cluster checker per member cluster. The
+scenario draws, run loop, result, batch driver and reproducer format
+are the single-cluster tier's: :data:`FEDERATED_TIER` plugs the site
+scenario and harness into :func:`repro.simtest.run_batch` (``repro
+federate``). See docs/federation.md.
 """
 
 from __future__ import annotations
@@ -17,16 +20,9 @@ from repro.simtest.federation.scenario import (
     generate_federated_scenario,
 )
 from repro.simtest.federation.harness import (
+    FEDERATED_TIER,
     FederatedSimtestContext,
-    FederatedSimtestResult,
     run_federated_scenario,
-)
-from repro.simtest.federation.fuzzer import (
-    FederatedBatchReport,
-    load_federated_reproducer,
-    replay_federated_scenario,
-    run_federated_batch,
-    run_federated_seed,
 )
 
 __all__ = [
@@ -35,11 +31,6 @@ __all__ = [
     "FederatedScenario",
     "generate_federated_scenario",
     "FederatedSimtestContext",
-    "FederatedSimtestResult",
     "run_federated_scenario",
-    "FederatedBatchReport",
-    "run_federated_batch",
-    "run_federated_seed",
-    "replay_federated_scenario",
-    "load_federated_reproducer",
+    "FEDERATED_TIER",
 ]

@@ -3,8 +3,8 @@
 Builds a :class:`~repro.federation.FederatedSite` from a
 :class:`~repro.simtest.federation.scenario.FederatedScenario`, schedules
 every cluster's job arrivals, the site budget schedule and per-cluster
-fault campaigns, then interleaves a periodic check tick exactly like the
-single-cluster harness (:mod:`repro.simtest.harness`):
+fault campaigns, then runs the single-cluster harness's run loop
+(:func:`repro.simtest.harness.run_checked`) with these check groups:
 
 * the **site checkers** (``site_budget``, ``floor_ceiling``) see a
   :class:`FederatedSimtestContext` with the whole site;
@@ -21,7 +21,6 @@ also covering the site's rebalance timeline, so ``repro federate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.federation import ClusterSpec, FederatedSite, SiteConfig
@@ -33,6 +32,10 @@ from repro.simtest.harness import (
     DEFAULT_MAX_EVENTS,
     DEFAULT_TIMEOUT_S,
     DIGEST_COUNTERS,
+    SimtestResult,
+    counter_totals,
+    job_rows,
+    run_checked,
 )
 from repro.simtest.invariants import (
     BudgetChecker,
@@ -45,10 +48,13 @@ from repro.simtest.invariants import (
     OrphanShareChecker,
     ShareSplitChecker,
     TelemetryRowsChecker,
-    Violation,
     site_checkers,
 )
-from repro.simtest.federation.scenario import FederatedScenario
+from repro.simtest.federation.scenario import (
+    FederatedScenario,
+    generate_federated_scenario,
+)
+from repro.simtest.fuzzer import Tier
 
 #: Federation counters folded into the digest alongside the
 #: single-cluster :data:`~repro.simtest.harness.DIGEST_COUNTERS`.
@@ -95,37 +101,6 @@ class FederatedSimtestContext:
         return self.site.sim
 
 
-@dataclass
-class FederatedSimtestResult:
-    """Outcome of one federated scenario run."""
-
-    scenario: FederatedScenario
-    violations: List[Violation] = field(default_factory=list)
-    digest: str = ""
-    makespan_s: Optional[float] = None
-    n_ticks: int = 0
-    events_processed: int = 0
-    n_rebalances: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.ok:
-            return (
-                f"OK   {self.scenario.describe()} "
-                f"digest={self.digest[:12]} ticks={self.n_ticks} "
-                f"rebalances={self.n_rebalances}"
-            )
-        v = self.violations[0]
-        return (
-            f"FAIL {self.scenario.describe()} "
-            f"[{v.invariant}] t={v.t:.3f}: {v.message}"
-            + (f" (+{len(self.violations) - 1} more)" if len(self.violations) > 1 else "")
-        )
-
-
 def _cluster_checkers() -> List[InvariantChecker]:
     """A fresh per-cluster checker set (engine/counter checkers are
     site-wide — the engine and metrics registry are shared — so they
@@ -170,7 +145,7 @@ def run_federated_scenario(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     max_events: int = DEFAULT_MAX_EVENTS,
     setup=None,
-) -> FederatedSimtestResult:
+) -> SimtestResult:
     """Execute ``scenario`` under site + per-cluster invariant checkers.
 
     ``checkers`` overrides the *site-tier* set only; the per-cluster and
@@ -191,7 +166,7 @@ def run_federated_scenario(
         },
     )
     ctx = FederatedSimtestContext(site, scenario)
-    result = FederatedSimtestResult(scenario=scenario)
+    result = SimtestResult(scenario=scenario)
     sim = site.sim
     if setup is not None:
         setup(site, sim)
@@ -213,86 +188,29 @@ def run_federated_scenario(
     for t, w in scenario.site_budget_schedule:
         site.schedule_retune(t, w)
 
-    # Invariant tick -----------------------------------------------------
-    per_cluster = {name: _cluster_checkers() for name in sorted(site.clusters)}
+    # Invariant tick, run, end-of-run checks ------------------------------
+    # The site checkers see the whole site; one fresh set of cluster
+    # checkers runs per member view; the engine/counter checkers run
+    # once, on the first view (engine and metrics are shared), and only
+    # per tick.
+    groups = [(ctx, checkers)] + [
+        (ctx.views[name], _cluster_checkers()) for name in sorted(site.clusters)
+    ]
     shared = [MonotonicCountersChecker(), EngineChecker()]
-
-    def _tick() -> None:
-        for checker in checkers:
-            result.violations.extend(checker.check(ctx))
-        for name, cluster_set in per_cluster.items():
-            view = ctx.views[name]
-            for checker in cluster_set:
-                result.violations.extend(checker.check(view))
-        first_view = next(iter(ctx.views.values()))
-        for checker in shared:
-            result.violations.extend(checker.check(first_view))
-        ctx.tick_index += 1
-        result.n_ticks += 1
-
-    tick_event = sim.schedule_periodic(check_interval_s, _tick, start_delay=0.0)
-
-    # Run ----------------------------------------------------------------
-    deadline = sim.now + timeout_s
-    count = 0
-    timed_out = False
-    while not site.all_complete():
-        if not sim.step():
-            result.violations.append(
-                Violation(
-                    invariant="engine", t=sim.now,
-                    message="event heap drained with jobs still active",
-                )
-            )
-            timed_out = True
-            break
-        count += 1
-        if count > max_events or sim.now > deadline:
-            result.violations.append(
-                Violation(
-                    invariant="liveness", t=sim.now,
-                    message=(
-                        f"jobs still active after {count} events / "
-                        f"t={sim.now:.0f}s"
-                    ),
-                    details={"events": count},
-                )
-            )
-            timed_out = True
-            break
-    if not timed_out:
-        site.run_for(scenario.drain_s)
-    tick_event.cancel()
-
-    # End-of-run checks --------------------------------------------------
-    if not timed_out:
-        for name, view in ctx.views.items():
-            cluster = view.cluster
-            for jobid, run in cluster.instance.app_runs.items():
-                if not run.finished:
-                    continue
-                try:
-                    view.job_telemetry[jobid] = cluster.telemetry(jobid)
-                except Exception as exc:  # noqa: BLE001 - a failed fetch IS a finding
-                    result.violations.append(
-                        Violation(
-                            invariant="telemetry_fetch", t=sim.now,
-                            message=(
-                                f"telemetry fetch for {name} job {jobid} "
-                                f"failed: {exc}"
-                            ),
-                            details={"cluster": name, "jobid": jobid,
-                                     "error": str(exc)},
-                        )
-                    )
-        for checker in checkers:
-            result.violations.extend(checker.check(ctx))
-            result.violations.extend(checker.at_end(ctx))
-        for name, cluster_set in per_cluster.items():
-            view = ctx.views[name]
-            for checker in cluster_set:
-                result.violations.extend(checker.check(view))
-                result.violations.extend(checker.at_end(view))
+    run_checked(
+        ctx, result,
+        pending=lambda: not site.all_complete(),
+        drain=lambda: site.run_for(scenario.drain_s),
+        tick_groups=groups + [(next(iter(ctx.views.values())), shared)],
+        end_groups=groups,
+        fetches=[
+            (name, view.cluster, view.job_telemetry)
+            for name, view in ctx.views.items()
+        ],
+        check_interval_s=check_interval_s,
+        timeout_s=timeout_s,
+        max_events=max_events,
+    )
 
     # Digest -------------------------------------------------------------
     makespans = [
@@ -307,30 +225,32 @@ def run_federated_scenario(
         "scenario": scenario.to_dict(),
         "makespan_s": result.makespan_s,
         "t_end": sim.now,
-        "clusters": {},
+        "clusters": {
+            name: {
+                "jobs": job_rows(site.clusters[name]),
+                "faults": list(site.clusters[name].faults.injected),
+            }
+            for name in sorted(site.clusters)
+        },
         "rebalances": [
             {"t": t, "reason": reason, "shares": shares, "live": list(live)}
             for t, reason, shares, live in site.budget_log
         ],
-        "counters": {},
+        "counters": counter_totals(
+            site.telemetry.metrics,
+            DIGEST_COUNTERS + FEDERATION_DIGEST_COUNTERS,
+        ),
         "violations": [v.to_dict() for v in result.violations],
     }
-    for name in sorted(site.clusters):
-        cluster = site.clusters[name]
-        jobs: Dict[str, Any] = {}
-        for jobid, m in sorted(cluster.all_metrics().items()):
-            jobs[str(jobid)] = {
-                "runtime_s": m.runtime_s,
-                "avg_node_power_w": m.avg_node_power_w,
-                "avg_node_energy_kj": m.avg_node_energy_kj,
-            }
-        summary["clusters"][name] = {
-            "jobs": jobs,
-            "faults": list(cluster.faults.injected),
-        }
-    metrics = site.telemetry.metrics
-    for counter in DIGEST_COUNTERS + FEDERATION_DIGEST_COUNTERS:
-        total = sum(s.value for s in metrics.series_for(counter))
-        summary["counters"][counter] = total
     result.digest = canonical_digest(summary)
     return result
+
+
+#: The site tier (``repro federate``): federated scenarios are already
+#: small (2–4 clusters), so violating seeds are written out unshrunk.
+FEDERATED_TIER = Tier(
+    name="federate",
+    scenario_cls=FederatedScenario,
+    generate=generate_federated_scenario,
+    run=run_federated_scenario,
+)

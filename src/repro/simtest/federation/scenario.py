@@ -9,7 +9,10 @@ and optional whole-cluster outage windows.
 
 All randomness pulls from ``simtest/federation/*`` substreams rooted at
 one integer seed, so federated seeds are stable against changes to the
-single-cluster generator (and vice versa).
+single-cluster generator (and vice versa). The per-cluster job mix and
+rank-fault campaign use the single-cluster draws
+(:func:`~repro.simtest.scenario.draw_jobs`,
+:func:`~repro.simtest.scenario.draw_fault_events`) on those substreams.
 
 Outages are stored as ``(t, duration_s)`` windows per cluster and
 materialised by :meth:`ClusterScenario.fault_plan` into simultaneous
@@ -29,9 +32,9 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.simkernel.rng import RandomStreams
 from repro.simtest.scenario import (
     BUDGET_PER_NODE_RANGE_W,
-    LASSEN_ONLY_APPS,
-    PORTABLE_APPS,
     JobEntry,
+    draw_fault_events,
+    draw_jobs,
 )
 
 #: Fraction of the equal per-cluster budget slice a generated floor may
@@ -283,25 +286,7 @@ def generate_federated_scenario(
     # Per-cluster job mixes and fault campaigns --------------------------
     clusters: List[ClusterScenario] = []
     for i, (name, platform, n_nodes, fanout, strategy, policy) in enumerate(shapes):
-        apps = list(PORTABLE_APPS)
-        if platform == "lassen":
-            apps += list(LASSEN_ONLY_APPS)
-        n_jobs = int(jobs_rng.integers(cfg.min_jobs, cfg.max_jobs + 1))
-        jobs: List[JobEntry] = []
-        for _ in range(n_jobs):
-            app = apps[int(jobs_rng.integers(len(apps)))]
-            nnodes = int(jobs_rng.integers(1, n_nodes + 1))
-            work_scale = round(
-                0.5 + float(jobs_rng.random()) * (cfg.max_work_scale - 0.5), 3
-            )
-            submit_t = round(float(jobs_rng.random()) * cfg.max_submit_spread_s, 3)
-            jobs.append(
-                JobEntry(
-                    app=app, nnodes=nnodes,
-                    work_scale=work_scale, submit_t=submit_t,
-                )
-            )
-        jobs.sort(key=lambda j: (j.submit_t, j.app, j.nnodes))
+        jobs = draw_jobs(jobs_rng, cfg, platform, n_nodes)
 
         outages: Tuple[Tuple[float, float], ...] = ()
         fault_events: Tuple[FaultEvent, ...] = ()
@@ -310,16 +295,7 @@ def generate_federated_scenario(
             duration_s = round(15.0 + float(outages_rng.random()) * 30.0, 3)
             outages = ((t, duration_s),)
         elif n_nodes >= 2 and float(faults_rng.random()) < cfg.p_faults:
-            plan = FaultPlan.generate(
-                faults_rng,
-                n_ranks=n_nodes,
-                n_crashes=int(faults_rng.integers(0, cfg.max_crashes + 1)),
-                n_hangs=int(faults_rng.integers(0, cfg.max_hangs + 1)),
-                t_window=(10.0, 90.0),
-                crash_duration_s=float(faults_rng.choice([0.0, 20.0, 40.0])),
-                hang_duration_s=round(4.0 + float(faults_rng.random()) * 12.0, 3),
-            )
-            fault_events = tuple(plan.events)
+            fault_events = draw_fault_events(faults_rng, cfg, n_nodes)
 
         floor, ceiling = bounds[i]
         clusters.append(

@@ -12,7 +12,11 @@ The result carries a **digest**: a SHA-256 over a canonical summary of
 the run (job timings, energy metrics, injected faults, headline
 counters). Re-running the same seed must reproduce the digest byte for
 byte — that is the replayability contract ``repro simtest`` verifies
-with ``--replay-check`` and the tests pin.
+with ``--expect-digest`` and the tests pin.
+
+:func:`run_checked` is the run loop itself (tick, liveness, drain,
+telemetry fetch, end-of-run checks); the federated harness drives its
+site through the same function.
 
 Check ticks are scheduled as ordinary simulator events, but checkers
 are pure observers (no messages, no RNG draws, no model mutation), so
@@ -22,7 +26,7 @@ they can only *observe* a divergence, never cause one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import PowerManagedCluster
 from repro.flux.jobspec import Jobspec
@@ -75,14 +79,16 @@ class SimtestContext:
 
 @dataclass
 class SimtestResult:
-    """Outcome of one scenario run."""
+    """Outcome of one scenario run (single-cluster or federated)."""
 
-    scenario: Scenario
+    scenario: Any
     violations: List[Violation] = field(default_factory=list)
     digest: str = ""
     makespan_s: Optional[float] = None
     n_ticks: int = 0
     events_processed: int = 0
+    #: Site rebalances over the run; filled by federated runs only.
+    n_rebalances: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -96,6 +102,10 @@ class SimtestResult:
             return (
                 f"OK   {self.scenario.describe()} "
                 f"digest={self.digest[:12]} ticks={self.n_ticks}"
+                + (
+                    f" rebalances={self.n_rebalances}"
+                    if self.n_rebalances is not None else ""
+                )
             )
         v = self.violations[0]
         return (
@@ -103,6 +113,147 @@ class SimtestResult:
             f"[{v.invariant}] t={v.t:.3f}: {v.message}"
             + (f" (+{len(self.violations) - 1} more)" if len(self.violations) > 1 else "")
         )
+
+
+CheckGroup = Tuple[Any, List[InvariantChecker]]
+
+
+def _run_checks(
+    groups: Sequence[CheckGroup], result: SimtestResult, at_end: bool = False
+) -> bool:
+    """Run every ``(context, checkers)`` group; True if any checker found
+    something. ``at_end`` adds each checker's end-of-run look."""
+    found_any = False
+    for ctx, checkers in groups:
+        for checker in checkers:
+            found = checker.check(ctx)
+            if at_end:
+                found = found + checker.at_end(ctx)
+            if found:
+                result.violations.extend(found)
+                found_any = True
+    return found_any
+
+
+def _fetch_telemetry(
+    label: Optional[str], cluster, into: Dict[int, JobPowerData], now: float
+) -> List[Violation]:
+    """Fetch every finished job's telemetry into ``into``; a failed
+    fetch is a ``telemetry_fetch`` finding. ``label`` names the member
+    cluster of a federated run (None for a single-cluster run)."""
+    found: List[Violation] = []
+    for jobid, run in cluster.instance.app_runs.items():
+        if not run.finished:
+            continue
+        try:
+            into[jobid] = cluster.telemetry(jobid)
+        except Exception as exc:  # noqa: BLE001 - a failed fetch IS a finding
+            where = f"job {jobid}" if label is None else f"{label} job {jobid}"
+            scope = {} if label is None else {"cluster": label}
+            found.append(
+                Violation(
+                    invariant="telemetry_fetch", t=now,
+                    message=f"telemetry fetch for {where} failed: {exc}",
+                    details={**scope, "jobid": jobid, "error": str(exc)},
+                )
+            )
+    return found
+
+
+def run_checked(
+    ctx,
+    result: SimtestResult,
+    *,
+    pending: Callable[[], bool],
+    drain: Callable[[], Any],
+    tick_groups: Sequence[CheckGroup],
+    end_groups: Sequence[CheckGroup],
+    fetches: Sequence[Tuple[Optional[str], Any, Dict[int, JobPowerData]]],
+    check_interval_s: float,
+    timeout_s: float,
+    max_events: int,
+    stop_on_first: bool = False,
+    before_tick: Optional[Callable[[], None]] = None,
+) -> None:
+    """The run loop both tiers share.
+
+    Schedules the periodic invariant tick (``before_tick`` then every
+    ``tick_groups`` checker), steps the engine while ``pending()``,
+    turns a drained heap or an exhausted event/time budget into an
+    ``engine``/``liveness`` violation, then drains and cancels the
+    tick. A run that ends normally fetches each ``fetches`` cluster's
+    finished-job telemetry and gives ``end_groups`` their final look.
+    ``stop_on_first`` halts at the first violating tick (no drain, no
+    end-of-run checks).
+    """
+    sim = ctx.sim
+    halted = False
+
+    def _tick() -> None:
+        nonlocal halted
+        if before_tick is not None:
+            before_tick()
+        if _run_checks(tick_groups, result) and stop_on_first:
+            halted = True
+        ctx.tick_index += 1
+        result.n_ticks += 1
+
+    tick_event = sim.schedule_periodic(check_interval_s, _tick, start_delay=0.0)
+
+    deadline = sim.now + timeout_s
+    count = 0
+    timed_out = False
+    while pending():
+        if halted:
+            break
+        if not sim.step():
+            result.violations.append(
+                Violation(
+                    invariant="engine", t=sim.now,
+                    message="event heap drained with jobs still active",
+                )
+            )
+            timed_out = True
+            break
+        count += 1
+        if count > max_events or sim.now > deadline:
+            result.violations.append(
+                Violation(
+                    invariant="liveness", t=sim.now,
+                    message=(
+                        f"jobs still active after "
+                        f"{count} events / t={sim.now:.0f}s"
+                    ),
+                    details={"events": count},
+                )
+            )
+            timed_out = True
+            break
+    if not halted and not timed_out:
+        drain()
+    tick_event.cancel()
+
+    if not halted and not timed_out:
+        for label, cluster, into in fetches:
+            result.violations.extend(_fetch_telemetry(label, cluster, into, sim.now))
+        _run_checks(end_groups, result, at_end=True)
+
+
+def job_rows(cluster) -> Dict[str, Dict[str, Any]]:
+    """Per-job digest rows, keyed by jobid string."""
+    return {
+        str(jobid): {
+            "runtime_s": m.runtime_s,
+            "avg_node_power_w": m.avg_node_power_w,
+            "avg_node_energy_kj": m.avg_node_energy_kj,
+        }
+        for jobid, m in sorted(cluster.all_metrics().items())
+    }
+
+
+def counter_totals(metrics, names: Sequence[str]) -> Dict[str, float]:
+    """Each named counter summed over all its label sets."""
+    return {name: sum(s.value for s in metrics.series_for(name)) for name in names}
 
 
 def _tenancy_config(mix: TenantMix, global_cap_w: Optional[float]):
@@ -266,29 +417,8 @@ def run_scenario(
         for t, cap in scenario.budget_schedule:
             sim.schedule_at(t, _retune, cap)
 
-    # Invariant tick -----------------------------------------------------
-    halted = False
-
-    def _tick() -> None:
-        nonlocal halted
-        if inject_serving is not None:
-            inject_serving()
-        for checker in checkers:
-            found = checker.check(ctx)
-            if found:
-                result.violations.extend(found)
-                if stop_on_first:
-                    halted = True
-        ctx.tick_index += 1
-        result.n_ticks += 1
-
-    tick_event = sim.schedule_periodic(check_interval_s, _tick, start_delay=0.0)
-
-    # Run ----------------------------------------------------------------
-    deadline = sim.now + timeout_s
-    count = 0
+    # Invariant tick, run, end-of-run checks ------------------------------
     jm = cluster.instance.jobmanager
-    timed_out = False
     n_expected = len(scenario.jobs)
 
     # all_complete() is vacuously true before deferred submissions fire,
@@ -306,54 +436,20 @@ def run_scenario(
             )
         return len(jm.jobs) < n_expected or not jm.all_complete()
 
-    while _pending():
-        if halted:
-            break
-        if not sim.step():
-            result.violations.append(
-                Violation(
-                    invariant="engine", t=sim.now,
-                    message="event heap drained with jobs still active",
-                )
-            )
-            timed_out = True
-            break
-        count += 1
-        if count > max_events or sim.now > deadline:
-            result.violations.append(
-                Violation(
-                    invariant="liveness", t=sim.now,
-                    message=(
-                        f"jobs still active after "
-                        f"{count} events / t={sim.now:.0f}s"
-                    ),
-                    details={"events": count},
-                )
-            )
-            timed_out = True
-            break
-    if not halted and not timed_out:
-        cluster.run_for(scenario.drain_s)
-    tick_event.cancel()
-
-    # End-of-run checks --------------------------------------------------
-    if not halted and not timed_out:
-        for jobid, run in cluster.instance.app_runs.items():
-            if not run.finished:
-                continue
-            try:
-                ctx.job_telemetry[jobid] = cluster.telemetry(jobid)
-            except Exception as exc:  # noqa: BLE001 - a failed fetch IS a finding
-                result.violations.append(
-                    Violation(
-                        invariant="telemetry_fetch", t=sim.now,
-                        message=f"telemetry fetch for job {jobid} failed: {exc}",
-                        details={"jobid": jobid, "error": str(exc)},
-                    )
-                )
-        for checker in checkers:
-            result.violations.extend(checker.check(ctx))
-            result.violations.extend(checker.at_end(ctx))
+    groups = [(ctx, checkers)]
+    run_checked(
+        ctx, result,
+        pending=_pending,
+        drain=lambda: cluster.run_for(scenario.drain_s),
+        tick_groups=groups,
+        end_groups=groups,
+        fetches=[(None, cluster, ctx.job_telemetry)],
+        check_interval_s=check_interval_s,
+        timeout_s=timeout_s,
+        max_events=max_events,
+        stop_on_first=stop_on_first,
+        before_tick=inject_serving,
+    )
 
     # Digest -------------------------------------------------------------
     result.makespan_s = cluster.makespan_s()
@@ -363,21 +459,13 @@ def run_scenario(
         "scenario": scenario.to_dict(),
         "makespan_s": result.makespan_s,
         "t_end": sim.now,
-        "jobs": {},
+        "jobs": job_rows(cluster),
         "faults": list(cluster.faults.injected),
-        "counters": {},
+        "counters": counter_totals(
+            cluster.telemetry_hub.metrics, DIGEST_COUNTERS
+        ),
         "violations": [v.to_dict() for v in result.violations],
     }
-    for jobid, m in sorted(cluster.all_metrics().items()):
-        summary["jobs"][str(jobid)] = {
-            "runtime_s": m.runtime_s,
-            "avg_node_power_w": m.avg_node_power_w,
-            "avg_node_energy_kj": m.avg_node_energy_kj,
-        }
-    metrics = cluster.telemetry_hub.metrics
-    for name in DIGEST_COUNTERS:
-        total = sum(s.value for s in metrics.series_for(name))
-        summary["counters"][name] = total
     # Only present for tenanted scenarios: the key's absence keeps every
     # historical (anonymous) digest byte-identical.
     if scenario.tenancy is not None and cluster.tenancy is not None:

@@ -364,6 +364,47 @@ class GeneratorConfig:
     p_admission: float = 0.5
 
 
+def draw_jobs(rng, cfg, platform: str, n_nodes: int) -> List[JobEntry]:
+    """One cluster's job mix, sorted by arrival.
+
+    Shared by both generator tiers: ``cfg`` supplies ``min_jobs``,
+    ``max_jobs``, ``max_work_scale`` and ``max_submit_spread_s``, and
+    every draw comes from the caller's ``rng`` substream.
+    """
+    apps = list(PORTABLE_APPS)
+    if platform == "lassen":
+        apps += list(LASSEN_ONLY_APPS)
+    n_jobs = int(rng.integers(cfg.min_jobs, cfg.max_jobs + 1))
+    jobs: List[JobEntry] = []
+    for _ in range(n_jobs):
+        app = apps[int(rng.integers(len(apps)))]
+        nnodes = int(rng.integers(1, n_nodes + 1))
+        work_scale = round(
+            0.5 + float(rng.random()) * (cfg.max_work_scale - 0.5), 3
+        )
+        submit_t = round(float(rng.random()) * cfg.max_submit_spread_s, 3)
+        jobs.append(
+            JobEntry(app=app, nnodes=nnodes, work_scale=work_scale, submit_t=submit_t)
+        )
+    jobs.sort(key=lambda j: (j.submit_t, j.app, j.nnodes))
+    return jobs
+
+
+def draw_fault_events(rng, cfg, n_nodes: int) -> Tuple[FaultEvent, ...]:
+    """One cluster's crash/hang campaign (``cfg.max_crashes``/``max_hangs``
+    bound it); the caller draws the coin that decides whether to call."""
+    plan = FaultPlan.generate(
+        rng,
+        n_ranks=n_nodes,
+        n_crashes=int(rng.integers(0, cfg.max_crashes + 1)),
+        n_hangs=int(rng.integers(0, cfg.max_hangs + 1)),
+        t_window=(10.0, 90.0),
+        crash_duration_s=float(rng.choice([0.0, 20.0, 40.0])),
+        hang_duration_s=round(4.0 + float(rng.random()) * 12.0, 3),
+    )
+    return tuple(plan.events)
+
+
 def generate_scenario(seed: int, cfg: Optional[GeneratorConfig] = None) -> Scenario:
     """Draw one scenario from ``seed`` (pure: same seed → same scenario).
 
@@ -392,23 +433,7 @@ def generate_scenario(seed: int, cfg: Optional[GeneratorConfig] = None) -> Scena
     strategy = cfg.strategies[int(topo.integers(len(cfg.strategies)))]
     policy = cfg.policies[int(topo.integers(len(cfg.policies)))]
 
-    # Job mix ------------------------------------------------------------
-    apps = list(PORTABLE_APPS)
-    if platform == "lassen":
-        apps += list(LASSEN_ONLY_APPS)
-    n_jobs = int(jobs_rng.integers(cfg.min_jobs, cfg.max_jobs + 1))
-    jobs: List[JobEntry] = []
-    for _ in range(n_jobs):
-        app = apps[int(jobs_rng.integers(len(apps)))]
-        nnodes = int(jobs_rng.integers(1, n_nodes + 1))
-        work_scale = round(
-            0.5 + float(jobs_rng.random()) * (cfg.max_work_scale - 0.5), 3
-        )
-        submit_t = round(float(jobs_rng.random()) * cfg.max_submit_spread_s, 3)
-        jobs.append(
-            JobEntry(app=app, nnodes=nnodes, work_scale=work_scale, submit_t=submit_t)
-        )
-    jobs.sort(key=lambda j: (j.submit_t, j.app, j.nnodes))
+    jobs = draw_jobs(jobs_rng, cfg, platform, n_nodes)
 
     # Budget + schedule --------------------------------------------------
     global_cap_w: Optional[float] = None
@@ -429,16 +454,7 @@ def generate_scenario(seed: int, cfg: Optional[GeneratorConfig] = None) -> Scena
     fault_events: Tuple[FaultEvent, ...] = ()
     link: Optional[LinkFaults] = None
     if n_nodes >= 2 and float(faults_rng.random()) < cfg.p_faults:
-        plan = FaultPlan.generate(
-            faults_rng,
-            n_ranks=n_nodes,
-            n_crashes=int(faults_rng.integers(0, cfg.max_crashes + 1)),
-            n_hangs=int(faults_rng.integers(0, cfg.max_hangs + 1)),
-            t_window=(10.0, 90.0),
-            crash_duration_s=float(faults_rng.choice([0.0, 20.0, 40.0])),
-            hang_duration_s=round(4.0 + float(faults_rng.random()) * 12.0, 3),
-        )
-        fault_events = tuple(plan.events)
+        fault_events = draw_fault_events(faults_rng, cfg, n_nodes)
     if float(faults_rng.random()) < cfg.p_link_faults:
         link = LinkFaults(
             drop_prob=round(float(faults_rng.random()) * 0.05, 4),

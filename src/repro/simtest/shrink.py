@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.simtest.harness import SimtestResult, run_scenario
 from repro.simtest.invariants import InvariantChecker, Violation, default_checkers
@@ -235,33 +235,62 @@ def shrink_scenario(
 # Reproducer artifacts
 # ----------------------------------------------------------------------
 def reproducer_dict(
-    report: ShrinkReport, result: Optional[SimtestResult] = None
+    result: SimtestResult, shrunk: Optional[ShrinkReport] = None
 ) -> Dict[str, Any]:
-    """JSON-safe reproducer payload (what ``--replay`` consumes)."""
-    return {
+    """JSON-safe reproducer payload (what ``--replay`` consumes).
+
+    One format for every tier: ``scenario`` is what replays — the
+    shrunk minimum when ``shrunk`` is given, else the run's own
+    scenario — and a shrunk artifact also records the
+    ``original_scenario`` and the ``reduction``.
+    """
+    violation = shrunk.violation if shrunk is not None else result.violations[0]
+    payload: Dict[str, Any] = {
         "simtest_reproducer": ARTIFACT_VERSION,
-        "seed": report.original.seed,
-        "invariant": report.violation.invariant,
-        "violation": report.violation.to_dict(),
-        "scenario": report.minimal.to_dict(),
-        "original_scenario": report.original.to_dict(),
-        "reduction": report.reduction(),
-        "digest": result.digest if result is not None else None,
+        "seed": result.scenario.seed,
+        "invariant": violation.invariant,
+        "violation": violation.to_dict(),
+        "violations": [v.to_dict() for v in result.violations],
+        "scenario": (
+            shrunk.minimal if shrunk is not None else result.scenario
+        ).to_dict(),
+        "digest": result.digest,
     }
+    if shrunk is not None:
+        payload["original_scenario"] = shrunk.original.to_dict()
+        payload["reduction"] = shrunk.reduction()
+    return payload
 
 
 def write_reproducer(
-    path: str, report: ShrinkReport, result: Optional[SimtestResult] = None
+    path: str, result: SimtestResult, shrunk: Optional[ShrinkReport] = None
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(reproducer_dict(report, result), fh, indent=2, sort_keys=True)
+        json.dump(reproducer_dict(result, shrunk), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_reproducer(path: str) -> Scenario:
-    """Reload the minimal scenario from a reproducer artifact."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "scenario" not in payload:
+def load_reproducer(path: str, scenario_cls: Type = Scenario):
+    """Reload the scenario to replay from a reproducer artifact.
+
+    ``scenario_cls`` is the tier's scenario type (anything with a
+    ``from_dict``). Any artifact carrying a ``scenario`` object loads,
+    including the bare ``{"scenario": ...}`` shape. A file that cannot
+    be read or holds no valid scenario raises :class:`ValueError`
+    naming ``path``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read reproducer: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("scenario"), dict
+    ):
         raise ValueError(f"{path} is not a simtest reproducer artifact")
-    return Scenario.from_dict(payload["scenario"])
+    try:
+        return scenario_cls.from_dict(payload["scenario"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(
+            f"{path}: malformed reproducer scenario: {exc!r}"
+        ) from exc

@@ -180,36 +180,3 @@ class Backend:
         sample = dict(tmpl)
         sample["timestamp"] = round(float(quantised), 6)
         return sample
-
-    @staticmethod
-    def base_sample(node: Node, reading: SensorReading) -> Dict[str, object]:
-        """Common header fields for a telemetry sample."""
-        return {
-            "hostname": node.hostname,
-            "timestamp": round(reading.timestamp, 6),
-            "power_node_watts": round(reading.node_w, 3),
-            "power_node_is_estimate": not reading.node_measured,
-        }
-
-    @staticmethod
-    def add_domain_readings(
-        sample: Dict[str, object],
-        node: Node,
-        reading: SensorReading,
-        kinds: Dict[DomainKind, str],
-    ) -> None:
-        """Append per-domain keys like ``power_cpu_watts_socket_0``.
-
-        ``kinds`` maps a domain kind to the key stem Variorum uses for
-        it (e.g. ``DomainKind.CPU -> "power_cpu_watts_socket"``).
-        Indexing is per-kind in node domain order.
-        """
-        counters: Dict[DomainKind, int] = {}
-        for dom in node.domains.values():
-            spec = dom.spec
-            if not spec.measurable or spec.kind not in kinds:
-                continue
-            idx = counters.get(spec.kind, 0)
-            counters[spec.kind] = idx + 1
-            key = f"{kinds[spec.kind]}_{idx}"
-            sample[key] = round(reading.domains_w.get(spec.name, dom.actual_w), 3)

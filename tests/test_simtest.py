@@ -215,7 +215,7 @@ def test_planted_bug_is_caught_shrunk_and_replayable(planted_split_bug, tmp_path
     assert len(report.minimal.jobs) <= 2
 
     path = tmp_path / "reproducer.json"
-    write_reproducer(str(path), report, result)
+    write_reproducer(str(path), result, report)
     payload = json.loads(path.read_text())
     assert payload["invariant"] == "share_split"
     assert payload["scenario"] == report.minimal.to_dict()
@@ -273,7 +273,7 @@ def test_cli_simtest_replays_artifact(planted_split_bug, tmp_path, capsys):
     scenario, violation, result = _first_share_split_failure()
     report = shrink_scenario(scenario, violation, max_runs=60)
     path = tmp_path / "bug.json"
-    write_reproducer(str(path), report, result)
+    write_reproducer(str(path), result, report)
     rc = main(["simtest", "--replay", str(path)])
     out = capsys.readouterr().out
     assert rc == 1
@@ -292,3 +292,42 @@ def test_cli_simtest_batch_writes_artifacts(planted_split_bug, tmp_path, capsys)
     assert artifacts, "no reproducer artifact written"
     payload = json.loads(artifacts[0].read_text())
     assert payload["simtest_reproducer"] == 1
+
+
+def test_cli_simtest_no_shrink_still_writes_artifacts(
+    planted_split_bug, tmp_path, capsys
+):
+    # --no-shrink skips the shrinker, not the reproducer: the violating
+    # seed's own scenario is written out and replays the violation.
+    rc = main(
+        ["simtest", "--seeds", "1", "--no-shrink", "--artifacts", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert rc == 1
+    artifacts = list(tmp_path.glob("simtest-seed0-*.json"))
+    assert len(artifacts) == 1, out
+    assert f"reproducer: {artifacts[0]}" in out
+    payload = json.loads(artifacts[0].read_text())
+    assert payload["simtest_reproducer"] == 1
+    assert payload["scenario"] == generate_scenario(0).to_dict()
+    assert "original_scenario" not in payload and "reduction" not in payload
+    assert main(["simtest", "--replay", str(artifacts[0])]) == 1
+    assert payload["invariant"] in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "payload", ['{"foo": 1}', '{"scenario": {"seed": 1}}', "not json", "[1]"]
+)
+def test_cli_simtest_replay_malformed_artifact_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert main(["simtest", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err
+    assert captured.out == ""
+
+
+def test_cli_simtest_replay_missing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["simtest", "--replay", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err

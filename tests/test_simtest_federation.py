@@ -13,18 +13,17 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.simtest import run_batch
 from repro.simtest.federation import (
+    FEDERATED_TIER,
     ClusterScenario,
     FederatedGeneratorConfig,
     FederatedScenario,
     generate_federated_scenario,
-    load_federated_reproducer,
-    replay_federated_scenario,
-    run_federated_batch,
     run_federated_scenario,
-    run_federated_seed,
 )
 from repro.simtest.invariants import site_checkers
+from repro.simtest.shrink import load_reproducer
 
 DEEP = os.environ.get("REPRO_SIMTEST_DEEP") == "1"
 
@@ -119,14 +118,14 @@ def test_outage_fault_plan_crashes_every_crashable_rank():
 # Harness
 # ----------------------------------------------------------------------
 def test_run_digest_is_replayable():
-    a = run_federated_seed(1)
-    b = run_federated_seed(1)
+    a = FEDERATED_TIER.run_seed(1)
+    b = FEDERATED_TIER.run_seed(1)
     assert a.digest == b.digest
     assert a.ok, a.summary()
 
 
 def test_smoke_batch_is_clean():
-    report = run_federated_batch(range(3))
+    report = run_batch(range(3), tier=FEDERATED_TIER)
     assert report.ok, report.summary()
     assert len(report.results) == 3
     assert all(r.digest for r in report.results)
@@ -153,9 +152,9 @@ def test_reproducer_artifact_roundtrip(tmp_path):
     path = tmp_path / "repro.json"
     with open(path, "w") as fh:
         json.dump({"scenario": sc.to_dict(), "violations": []}, fh)
-    loaded = load_federated_reproducer(str(path))
+    loaded = load_reproducer(str(path), FederatedScenario)
     assert loaded == sc
-    result = replay_federated_scenario(loaded)
+    result = FEDERATED_TIER.run(loaded)
     assert result.digest == run_federated_scenario(sc).digest
 
 
@@ -170,7 +169,7 @@ def test_cli_federate_single_seed(capsys):
 
 
 def test_cli_federate_expect_digest(capsys):
-    digest = run_federated_seed(1).digest
+    digest = FEDERATED_TIER.run_seed(1).digest
     assert main(["federate", "--seed", "1", "--expect-digest", digest]) == 0
     capsys.readouterr()
     # the printed 12-char prefix is accepted back verbatim
@@ -207,6 +206,40 @@ def test_cli_federate_demo(tmp_path, capsys):
 @pytest.mark.skipif(not DEEP, reason="set REPRO_SIMTEST_DEEP=1 for the deep batch")
 def test_deep_federated_batch_100_seeds():
     """The ISSUE 5 acceptance batch: 100 federated seeds, 0 violations."""
-    report = run_federated_batch(range(100))
+    report = run_batch(range(100), tier=FEDERATED_TIER)
     assert len(report.results) == 100
     assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize(
+    "payload", ['{"foo": 1}', '{"scenario": {"seed": 1}}', "not json"]
+)
+def test_cli_federate_replay_malformed_artifact_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert main(["federate", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err
+    assert captured.out == ""
+
+
+def test_unshrunk_federated_reproducer_roundtrip(tmp_path, capsys):
+    """A violating federated run is written in the shared reproducer
+    format (unshrunk) and replays through ``repro federate --replay``."""
+    from repro.simtest.harness import SimtestResult
+    from repro.simtest.invariants import Violation
+    from repro.simtest.shrink import write_reproducer
+
+    sc = generate_federated_scenario(4)
+    finding = Violation(invariant="site_budget", t=1.0, message="planted")
+    result = SimtestResult(scenario=sc, violations=[finding], digest="d" * 64)
+    path = tmp_path / "federate-seed4-site_budget.json"
+    write_reproducer(str(path), result)
+    payload = json.loads(path.read_text())
+    assert payload["simtest_reproducer"] == 1
+    assert payload["invariant"] == "site_budget"
+    assert payload["violations"] == [finding.to_dict()]
+    assert "original_scenario" not in payload
+    assert load_reproducer(str(path), FederatedScenario) == sc
+    assert main(["federate", "--replay", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("OK   seed=4 ")

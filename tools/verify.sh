@@ -7,8 +7,10 @@
 #   cov      - tier-1 under pytest-cov with a fail-under gate; skipped with a
 #              notice when pytest-cov is not importable (it is an optional
 #              dev dependency, not baked into the container image)
-#   simtest  - a seeded scenario-fuzzing smoke batch (25 seeds)
-#   federate - a federated (site-tier) scenario-fuzzing smoke batch (10 seeds)
+#   simtest  - a seeded scenario-fuzzing smoke batch (25 seeds), then one
+#              seed replayed against its literal digest pin
+#   federate - a federated (site-tier) scenario-fuzzing smoke batch (10
+#              seeds), then one outage seed against its literal digest pin
 #   policies - the quick policy head-to-head, byte-diffed against the
 #              committed fixture tests/golden/policy_head_to_head.csv
 #   lifecycle - snapshot schema-version lint + a seeded 16-node
@@ -96,10 +98,15 @@ for stage in $STAGES; do
         simtest)
             banner "simtest smoke batch: $REPRO_SIMTEST_SEEDS seeds"
             python -m repro.cli simtest --seeds "$REPRO_SIMTEST_SEEDS"
+            # Same pin as tests/test_simtest_pins.py, through the CLI path.
+            python -m repro.cli simtest --seed 9 --expect-digest \
+                b7664494f701f9395a9aa94ef22dd1a8669f2de4240a477047d0fa98e2a206a1
             ;;
         federate)
             banner "federated simtest smoke batch: $REPRO_FEDERATE_SEEDS seeds"
             python -m repro.cli federate --seeds "$REPRO_FEDERATE_SEEDS"
+            python -m repro.cli federate --seed 2 --expect-digest \
+                0deb95b4c18389fa2c4d7b5d6619af09e790f18f79c31b101e7d53461d5d3366
             ;;
         policies)
             banner "policy head-to-head vs golden fixture"
