@@ -39,26 +39,27 @@ class HistoryHeadroomPolicy(PowerPolicy):
 
     def attach(self, manager) -> None:
         super().attach(manager)
-        self._history = [deque(maxlen=self.window) for _ in range(manager.gpu_count)]
+        n_gpus = manager.device_count("gpu")
+        self._history = [deque(maxlen=self.window) for _ in range(n_gpus)]
 
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         if limit_w is None:
-            self.manager.clear_gpu_caps()
+            self.manager.clear_caps("gpu")
             return
         self.manager.enforce_limit_via_gpus(limit_w)  # share is the ceiling
 
     def on_sample(self, timestamp: float, node_w: float, gpu_w: list) -> None:
         share_cap = (
-            self.manager.derive_gpu_share(self.manager.node_limit_w)
+            self.manager.derive_share("gpu", self.manager.node_limit_w)
             if self.manager.node_limit_w is not None
-            else self.manager.gpu_cap_range[1]
+            else self.manager.cap_range("gpu")[1]
         )
-        lo, hi = self.manager.gpu_cap_range
+        lo, hi = self.manager.cap_range("gpu")
         for i, w in enumerate(gpu_w):
             self._history[i].append(w)
             if len(self._history[i]) >= self.window:
                 cap = min(max(max(self._history[i]) + self.margin_w, lo), share_cap, hi)
-                self.manager.set_gpu_cap(i, cap)
+                self.manager.set_cap("gpu", i, cap)
 
 
 def guarded_history_headroom() -> PolicySafetyWrapper:

@@ -403,6 +403,7 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         run_scenario_with_recovery,
     )
     from repro.lifecycle.snapshot import (
+        SnapshotError,
         diff_snapshots,
         load_snapshot,
         restore_cluster,
@@ -422,8 +423,14 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         return 1 if problems else 0
 
     if args.diff:
-        a, b = (load_snapshot(path) for path in args.diff)
-        diffs = diff_snapshots(a, b)
+        snaps = []
+        for path in args.diff:
+            try:
+                snaps.append(load_snapshot(path))
+            except SnapshotError as exc:
+                print(f"cannot diff: {path}: {exc}", file=sys.stderr)
+                return 2
+        diffs = diff_snapshots(*snaps)
         for line in diffs:
             print(line)
         print(f"{len(diffs)} difference(s)")
@@ -459,16 +466,24 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         return 0
 
     if args.restore:
-        snap = load_snapshot(args.restore)
-        if not snap.get("scenario"):
-            print(
-                f"{args.restore} embeds no scenario; cannot rebuild the run",
-                file=sys.stderr,
-            )
+        def _refuse(reason) -> int:
+            print(f"cannot restore: {args.restore}: {reason}", file=sys.stderr)
             return 2
-        scenario = Scenario.from_dict(snap["scenario"])
+
+        # Validate everything before the base run, so a bad artifact
+        # costs no simulation and never fails inside a sim callback.
+        try:
+            snap = load_snapshot(args.restore, kind="cluster")
+        except SnapshotError as exc:
+            return _refuse(exc)
+        if not snap.get("scenario"):
+            return _refuse("embeds no scenario; cannot rebuild the run")
+        try:
+            scenario = Scenario.from_dict(snap["scenario"])
+            crash_t = float(snap["t"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            return _refuse(f"malformed scenario or time: {exc!r}")
         base = run_scenario(scenario)
-        crash_t = float(snap["t"])
 
         def _setup(cluster, sim):
             def _recover():
@@ -477,7 +492,10 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
 
             sim.schedule_at(crash_t, _recover)
 
-        recovered = run_scenario(scenario, setup=_setup)
+        try:
+            recovered = run_scenario(scenario, setup=_setup)
+        except SnapshotError as exc:  # e.g. a policy the scenario does not deploy
+            return _refuse(exc)
         match = base.digest == recovered.digest
         print(f"base      {base.digest}")
         print(f"recovered {recovered.digest}")

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional
 #: Bump when any SCHEMA_FIELDS section changes, and append the new
 #: fingerprint to SCHEMA_FINGERPRINTS (keep the old ones: they document
 #: which key-sets historical artifacts carry).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Exhaustive key-set of every snapshot section. Producers are checked
 #: against this at snapshot time (exact match); consumers stay lenient
@@ -58,12 +58,9 @@ SCHEMA_FIELDS: Dict[str, tuple] = {
         "rank",
         "node_limit_w",
         "current_jobid",
-        "non_gpu_est_w",
-        "non_cpu_est_w",
         "recent_non_gpu",
         "recent_non_cpu",
         "recent_mem",
-        "recent",
         "last_gpu_caps",
         "last_socket_caps",
         "cap_request_failures",
@@ -91,6 +88,9 @@ SCHEMA_FIELDS: Dict[str, tuple] = {
 #: current SCHEMA_VERSION.
 SCHEMA_FINGERPRINTS: Dict[int, str] = {
     1: "783b7fc1d6b61f386320e2a3c8396799f031de4964f12e9c2ca1ba65c8047cca",
+    # v2: node_manager drops the write-only non_*_est_w EMAs and the
+    # 64-entry ``recent`` tuple history.
+    2: "603590bff71e21d7b345f5fbe6b89035b9dbf96a563a1caf20e2d03864570921",
 }
 
 
@@ -211,15 +211,25 @@ def snapshot_cluster(cluster, scenario=None) -> Dict[str, Any]:
     )
 
 
-def _check_envelope(snap: Mapping[str, Any], kind: str) -> None:
-    version = snap.get("schema_version")
+#: Every envelope ``kind`` an artifact can carry.
+ENVELOPE_KINDS = ("cluster", "site")
+
+
+def _check_envelope(snap: Mapping[str, Any], kind: Optional[str] = None) -> None:
+    """Refuse anything but a current-schema envelope of ``kind``
+    (any :data:`ENVELOPE_KINDS` member when ``kind`` is None)."""
+    if "schema_version" not in snap:
+        raise SnapshotError("not a snapshot artifact: no schema_version")
+    version = snap["schema_version"]
     if version != SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot schema version {version!r} != supported {SCHEMA_VERSION}"
         )
-    if snap.get("kind") != kind:
+    kinds = ENVELOPE_KINDS if kind is None else (kind,)
+    if snap.get("kind") not in kinds:
         raise SnapshotError(
-            f"snapshot kind {snap.get('kind')!r} is not a {kind} artifact"
+            f"snapshot kind {snap.get('kind')!r} is not a "
+            f"{' or '.join(kinds)} artifact"
         )
 
 
@@ -330,11 +340,21 @@ def save_snapshot(snap: Mapping[str, Any], path) -> None:
         fh.write("\n")
 
 
-def load_snapshot(path) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        snap = json.load(fh)
+def load_snapshot(path, kind: Optional[str] = None) -> Dict[str, Any]:
+    """Read an artifact and check its envelope (see :func:`_check_envelope`).
+
+    Every failure — unreadable file, bad JSON, not a current-schema
+    envelope — raises :class:`SnapshotError`; the message does not
+    repeat ``path``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            snap = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"cannot read snapshot: {exc}") from exc
     if not isinstance(snap, dict):
-        raise SnapshotError(f"{path}: snapshot artifact must be a JSON object")
+        raise SnapshotError("snapshot artifact must be a JSON object")
+    _check_envelope(snap, kind)
     return snap
 
 

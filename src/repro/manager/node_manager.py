@@ -6,16 +6,24 @@ Present on every node. Responsibilities:
   time, where the platform supports one,
 * accept *node-level power limits* over RPC from the job-level manager
   and record which job they belong to,
-* track node and per-GPU power in a periodic sampling loop (a separate
-  thread in the real module), maintaining a running estimate of non-GPU
-  power used to derive GPU budgets,
+* track node and per-device power in a periodic sampling loop (a
+  separate thread in the real module), keeping a recent-peak estimate of
+  the power *outside* each cappable device class, used to derive device
+  budgets,
 * host the pluggable dynamic policy (static / proportional / FPP / the
   policy zoo) and forward limits, samples and ``job-state.*`` events to
   it.
 
+Every cap dial takes a *domain* — ``"gpu"`` or ``"socket"`` (the keys
+of :data:`CAP_CLASSES`) — so GPUs and CPU sockets share one path:
+``device_count``, ``cap_range``, ``other_power_w``, ``derive_share``,
+``set_cap``, ``clear_caps`` and the tracker's per-device readings
+``device_w``. An unknown domain
+raises :class:`ValueError`.
+
 Units at this interface are uniform: every power quantity is **watts**
 — node limits (whole node), device caps (one GPU / one socket), and
-the ``non_*_power_w`` estimates (whole node minus the named device
+the ``other_power_w`` estimates (whole node minus the named device
 class). The safety wrapper's ``damper`` (fraction of a device's
 capping span) and ``slowdown`` (dimensionless ratio >= 1) are the only
 non-watt control knobs; see :mod:`repro.manager.policies.safety`.
@@ -24,7 +32,9 @@ non-watt control knobs; see :mod:`repro.manager.policies.safety`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import variorum
 from repro.flux.broker import Broker
@@ -38,15 +48,102 @@ SET_LIMIT_TOPIC = "power-manager.set-node-limit"
 JOB_DEPARTED_TOPIC = "power-manager.job-departed"
 STATUS_TOPIC = "power-manager.status"
 
-#: Smoothing factor for the non-GPU power estimate (EMA).
-EMA_ALPHA = 0.3
-
 #: Window (samples) for the conservative peak estimates used to derive
 #: device budgets. Mean-based estimates under-reserve during the high
 #: phase of a periodic app, producing sustained share overshoot; a
 #: recent-peak estimate keeps the node under its limit at the cost of
 #: slightly smaller device budgets.
 PEAK_WINDOW = 16
+
+
+def _write_gpu_cap(node, index: int, watts: float) -> None:
+    if node.nvml is not None:
+        node.nvml.set_power_limit(index, watts)
+    elif node.esmi is not None:
+        # OAM domains are the cappable unit on AMD.
+        node.esmi.set_oam_power_cap(index, watts)
+    else:
+        raise CappingError("no GPU capping driver on this platform")
+
+
+def _clear_gpu_caps(node) -> None:
+    if node.nvml is not None:
+        node.nvml.clear_all()
+
+
+def _write_socket_cap(node, index: int, watts: float) -> None:
+    if node.rapl is not None:
+        node.rapl.set_socket_power_cap(index, watts)
+    elif node.esmi is not None:
+        node.esmi.set_socket_power_cap(index, watts)
+    elif node.cpu_domains:
+        # IBM path: socket caps through the service processor.
+        node.cpu_domains[index].set_cap("socket-manager", watts)
+    else:
+        raise CappingError("no CPU capping driver on this platform")
+
+
+def _clear_socket_caps(node) -> None:
+    for dom in node.cpu_domains:
+        dom.set_cap("socket-manager", None)
+        if node.rapl is not None:
+            dom.set_cap(node.rapl.CAP_SOURCE, None)
+
+
+@dataclass(frozen=True)
+class CapClass:
+    """Everything that differs between two cappable device classes."""
+
+    #: The node's domains of this class, in driver index order.
+    devices: Callable
+    #: Activity margin (W) over the idle floor of the other-power
+    #: estimate before any measurement arrives.
+    idle_margin_w: float
+    #: ``write(node, index, watts)`` through the platform driver;
+    #: raises :class:`CappingError` when the platform refuses.
+    write: Callable
+    #: ``clear(node)``: drop every cap this class's writes installed.
+    clear: Callable
+    #: Counter of successful writes, and its help text.
+    metric: str
+    metric_help: str
+    #: Snapshot key of the recent other-power window.
+    window_key: str
+
+
+#: Cap domain -> its class. Iteration order is the tracking order.
+CAP_CLASSES: Dict[str, CapClass] = {
+    "gpu": CapClass(
+        devices=attrgetter("gpu_domains"),
+        idle_margin_w=150.0,
+        write=_write_gpu_cap,
+        clear=_clear_gpu_caps,
+        metric="manager_gpu_cap_sets_total",
+        metric_help="GPU power-cap writes through the platform drivers",
+        window_key="recent_non_gpu",
+    ),
+    "socket": CapClass(
+        devices=attrgetter("cpu_domains"),
+        idle_margin_w=30.0,
+        write=_write_socket_cap,
+        clear=_clear_socket_caps,
+        metric="manager_socket_cap_sets_total",
+        metric_help="CPU socket power-cap writes through the platform drivers",
+        window_key="recent_non_cpu",
+    ),
+}
+
+
+def _lookup(table: dict, domain: str):
+    """``table[domain]`` for a cap-domain-keyed table; unknown domains
+    raise :class:`ValueError`."""
+    try:
+        return table[domain]
+    except KeyError:
+        raise ValueError(
+            f"unknown cap domain {domain!r} (expected one of "
+            f"{sorted(CAP_CLASSES)})"
+        ) from None
 
 
 class NodeManagerModule(Module):
@@ -71,14 +168,20 @@ class NodeManagerModule(Module):
 
         self.node_limit_w: Optional[float] = None
         self.current_jobid: Optional[int] = None
-        self._non_gpu_est_w: Optional[float] = None
-        self._non_cpu_est_w: Optional[float] = None
-        self._recent_non_gpu = deque(maxlen=PEAK_WINDOW)
-        self._recent_non_cpu = deque(maxlen=PEAK_WINDOW)
+        #: Per domain: the node's devices (fixed for the node's life).
+        self._device_lists = {
+            d: cls.devices(broker.node) for d, cls in CAP_CLASSES.items()
+        }
+        #: Per domain: recent node power outside that device class.
+        self._recent_other = {d: deque(maxlen=PEAK_WINDOW) for d in CAP_CLASSES}
         self._recent_mem = deque(maxlen=PEAK_WINDOW)
-        self._recent = deque(maxlen=64)
-        self._last_gpu_caps: List[Optional[float]] = []
-        self._last_socket_caps: List[Optional[float]] = []
+        #: Per domain: each device's draw (W) at the latest tracking
+        #: tick — the readings ``policy.on_sample`` is called with.
+        self.device_w: Dict[str, List[float]] = {d: [] for d in CAP_CLASSES}
+        #: Per domain: the last cap written to each device (None: none).
+        self._last_caps: Dict[str, List[Optional[float]]] = {
+            d: [None] * len(devices) for d, devices in self._device_lists.items()
+        }
         self.cap_request_failures = 0
 
     # ------------------------------------------------------------------
@@ -99,8 +202,6 @@ class NodeManagerModule(Module):
                 )
             except variorum.VariorumError:
                 self.cap_request_failures += 1
-        self._last_gpu_caps = [None] * self.gpu_count
-        self._last_socket_caps = [None] * self.socket_count
         # State-aware policies (checkpoint) learn which application is
         # arriving from the job manager's existing job-state events —
         # no new message traffic, just a subscription.
@@ -110,120 +211,48 @@ class NodeManagerModule(Module):
 
     def on_unload(self) -> None:
         self.policy.detach()
-        self.clear_gpu_caps()
+        self.clear_caps("gpu")
 
     # ------------------------------------------------------------------
-    # Hardware accessors used by policies
+    # Hardware accessors used by policies (one per dial, keyed by domain)
     # ------------------------------------------------------------------
-    @property
-    def gpu_count(self) -> int:
-        return len(self.broker.node.gpu_domains)
+    def _devices(self, domain: str) -> list:
+        return _lookup(self._device_lists, domain)
 
-    @property
-    def gpu_cap_range(self) -> Tuple[float, float]:
-        gpus = self.broker.node.gpu_domains
-        if not gpus:
+    def device_count(self, domain: str) -> int:
+        return len(self._devices(domain))
+
+    def cap_range(self, domain: str) -> Tuple[float, float]:
+        """(min, max) cap of one device of ``domain``, watts."""
+        devices = self._devices(domain)
+        if not devices:
             return (0.0, 0.0)
-        spec = gpus[0].spec
-        return (spec.min_cap_w or 0.0, spec.max_cap_w or spec.max_w)
-
-    @property
-    def socket_count(self) -> int:
-        return len(self.broker.node.cpu_domains)
-
-    @property
-    def socket_cap_range(self) -> Tuple[float, float]:
-        cpus = self.broker.node.cpu_domains
-        if not cpus:
-            return (0.0, 0.0)
-        spec = cpus[0].spec
+        spec = devices[0].spec
         return (spec.min_cap_w or 0.0, spec.max_cap_w or spec.max_w)
 
     @property
     def job_present(self) -> bool:
         return self.current_jobid is not None
 
-    def non_gpu_power_w(self) -> float:
-        """Conservative estimate of node power not attributable to GPUs.
+    def other_power_w(self, domain: str) -> float:
+        """Conservative estimate of node power outside ``domain``'s devices.
 
         The *recent peak* over the tracking window, not the mean: a
-        phase-swinging workload's non-GPU draw must be reserved at its
-        high-phase level or the derived GPU budgets push the node over
-        its share during every high phase. Before any measurement
-        arrives, fall back to the idle non-GPU floor plus an activity
-        margin — also conservative, so initial budgets never overshoot
-        while the estimate warms up.
+        phase-swinging workload's other draw must be reserved at its
+        high-phase level or the derived device budgets push the node
+        over its share during every high phase. Before any measurement
+        arrives, fall back to the idle floor outside the class plus an
+        activity margin — also conservative, so initial budgets never
+        overshoot while the estimate warms up.
         """
-        if self._recent_non_gpu:
-            return max(self._recent_non_gpu)
-        node = self.broker.node
-        idle_non_gpu = node.idle_power_w() - sum(
-            d.spec.idle_w for d in node.gpu_domains
+        cls = _lookup(CAP_CLASSES, domain)
+        window = self._recent_other[domain]
+        if window:
+            return max(window)
+        idle_other = self.broker.node.idle_power_w() - sum(
+            d.spec.idle_w for d in self._devices(domain)
         )
-        return idle_non_gpu + 150.0
-
-    def derive_gpu_share(self, node_limit_w: float) -> float:
-        """Uniform per-GPU cap that fits the node limit, given non-GPU power."""
-        n = self.gpu_count
-        if n == 0:
-            return 0.0
-        lo, hi = self.gpu_cap_range
-        budget = node_limit_w - self.non_gpu_power_w()
-        per_gpu = budget / n
-        return float(min(max(per_gpu, lo), hi))
-
-    # ------------------------------------------------------------------
-    # Cap dials
-    # ------------------------------------------------------------------
-    def set_gpu_cap(self, index: int, watts: float) -> None:
-        """Set one GPU's cap (watts) through the platform driver.
-
-        Clamped into the device capping range; idempotent (repeat
-        writes of the installed value are not re-issued to NVML/ROCm).
-        """
-        node = self.broker.node
-        lo, hi = self.gpu_cap_range
-        watts = min(max(watts, lo), hi)
-        if self._last_gpu_caps[index] == watts:
-            return
-        try:
-            if node.nvml is not None:
-                node.nvml.set_power_limit(index, watts)
-            elif node.esmi is not None:
-                per_oam = watts  # OAM domains are the cappable unit on AMD
-                node.esmi.set_oam_power_cap(index, per_oam)
-            else:
-                raise CappingError("no GPU capping driver on this platform")
-            self._last_gpu_caps[index] = watts
-            self.broker.telemetry.metrics.counter(
-                "manager_gpu_cap_sets_total",
-                help="GPU power-cap writes through the platform drivers",
-            ).inc()
-        except CappingError:
-            self.cap_request_failures += 1
-            self.broker.telemetry.metrics.counter(
-                "manager_cap_failures_total",
-                help="failed device cap requests (NVML faults, no driver)",
-            ).inc()
-
-    def enforce_limit_via_gpus(self, node_limit_w: float) -> None:
-        """Uniformly cap all GPUs so the node fits its limit."""
-        per_gpu = self.derive_gpu_share(node_limit_w)
-        for i in range(self.gpu_count):
-            self.set_gpu_cap(i, per_gpu)
-
-    # ------------------------------------------------------------------
-    # Socket-level dials (FPP's device-agnostic extension path)
-    # ------------------------------------------------------------------
-    def non_cpu_power_w(self) -> float:
-        """Conservative (recent-peak) non-CPU power estimate (watts)."""
-        if self._recent_non_cpu:
-            return max(self._recent_non_cpu)
-        node = self.broker.node
-        idle_non_cpu = node.idle_power_w() - sum(
-            d.spec.idle_w for d in node.cpu_domains
-        )
-        return idle_non_cpu + 30.0
+        return idle_other + cls.idle_margin_w
 
     def mem_power_w(self) -> float:
         """Conservative (recent-peak) memory-domain power estimate.
@@ -239,37 +268,36 @@ class NodeManagerModule(Module):
         node = self.broker.node
         return sum(d.spec.idle_w for d in node.memory_domains) + 20.0
 
-    def derive_socket_share(self, node_limit_w: float) -> float:
-        """Uniform per-socket cap that fits the node limit."""
-        n = self.socket_count
+    def derive_share(self, domain: str, node_limit_w: float) -> float:
+        """Uniform per-device cap that fits the node limit, given the
+        power outside the class."""
+        n = self.device_count(domain)
         if n == 0:
             return 0.0
-        lo, hi = self.socket_cap_range
-        per_socket = (node_limit_w - self.non_cpu_power_w()) / n
-        return float(min(max(per_socket, lo), hi))
+        lo, hi = self.cap_range(domain)
+        per_device = (node_limit_w - self.other_power_w(domain)) / n
+        return float(min(max(per_device, lo), hi))
 
-    def set_socket_cap(self, index: int, watts: float) -> None:
-        """Set one CPU socket's cap (watts); clamped and idempotent
-        like :meth:`set_gpu_cap`."""
-        node = self.broker.node
-        lo, hi = self.socket_cap_range
+    # ------------------------------------------------------------------
+    # Cap dials
+    # ------------------------------------------------------------------
+    def set_cap(self, domain: str, index: int, watts: float) -> None:
+        """Set one device's cap (watts) through the platform driver.
+
+        Clamped into the device capping range; idempotent (repeat
+        writes of the installed value are not re-issued to the driver).
+        """
+        cls = _lookup(CAP_CLASSES, domain)
+        lo, hi = self.cap_range(domain)
         watts = min(max(watts, lo), hi)
-        if self._last_socket_caps[index] == watts:
+        last = self._last_caps[domain]
+        if last[index] == watts:
             return
         try:
-            if node.rapl is not None:
-                node.rapl.set_socket_power_cap(index, watts)
-            elif node.esmi is not None:
-                node.esmi.set_socket_power_cap(index, watts)
-            elif node.cpu_domains:
-                # IBM path: socket caps through the service processor.
-                node.cpu_domains[index].set_cap("socket-manager", watts)
-            else:
-                raise CappingError("no CPU capping driver on this platform")
-            self._last_socket_caps[index] = watts
+            cls.write(self.broker.node, index, watts)
+            last[index] = watts
             self.broker.telemetry.metrics.counter(
-                "manager_socket_cap_sets_total",
-                help="CPU socket power-cap writes through the platform drivers",
+                cls.metric, help=cls.metric_help
             ).inc()
         except CappingError:
             self.cap_request_failures += 1
@@ -278,19 +306,15 @@ class NodeManagerModule(Module):
                 help="failed device cap requests (NVML faults, no driver)",
             ).inc()
 
-    def clear_socket_caps(self) -> None:
-        node = self.broker.node
-        for dom in node.cpu_domains:
-            dom.set_cap("socket-manager", None)
-            if node.rapl is not None:
-                dom.set_cap(node.rapl.CAP_SOURCE, None)
-        self._last_socket_caps = [None] * self.socket_count
+    def clear_caps(self, domain: str) -> None:
+        _lookup(CAP_CLASSES, domain).clear(self.broker.node)
+        self._last_caps[domain] = [None] * self.device_count(domain)
 
-    def clear_gpu_caps(self) -> None:
-        node = self.broker.node
-        if node.nvml is not None:
-            node.nvml.clear_all()
-        self._last_gpu_caps = [None] * self.gpu_count
+    def enforce_limit_via_gpus(self, node_limit_w: float) -> None:
+        """Uniformly cap all GPUs so the node fits its limit."""
+        per_gpu = self.derive_share("gpu", node_limit_w)
+        for i in range(self.device_count("gpu")):
+            self.set_cap("gpu", i, per_gpu)
 
     # ------------------------------------------------------------------
     # Power tracking loop
@@ -298,34 +322,22 @@ class NodeManagerModule(Module):
     def _track(self, _timer) -> None:
         node = self.broker.node
         node_w = node.total_power_w()
-        gpu_w = [d.actual_w for d in node.gpu_domains]
-        # Idle samples would poison the non-GPU estimate with a value
-        # far below what a running workload draws, making the first GPU
-        # budgets overshoot the node limit. Only learn from samples
-        # where something is actually drawing power.
+        self.device_w = {
+            domain: [d.actual_w for d in devices]
+            for domain, devices in self._device_lists.items()
+        }
+        # Idle samples would poison the other-power estimates with a
+        # value far below what a running workload draws, making the
+        # first device budgets overshoot the node limit. Only learn
+        # from samples where something is actually drawing power.
         if node_w > node.idle_power_w() + 5.0:
-            non_gpu = node_w - sum(gpu_w)
-            self._recent_non_gpu.append(non_gpu)
+            for domain, window in self._recent_other.items():
+                window.append(node_w - sum(self.device_w[domain]))
             self._recent_mem.append(
                 sum(d.actual_w for d in node.memory_domains)
             )
-            if self._non_gpu_est_w is None:
-                self._non_gpu_est_w = non_gpu
-            else:
-                self._non_gpu_est_w = (
-                    EMA_ALPHA * non_gpu + (1.0 - EMA_ALPHA) * self._non_gpu_est_w
-                )
-            non_cpu = node_w - sum(d.actual_w for d in node.cpu_domains)
-            self._recent_non_cpu.append(non_cpu)
-            if self._non_cpu_est_w is None:
-                self._non_cpu_est_w = non_cpu
-            else:
-                self._non_cpu_est_w = (
-                    EMA_ALPHA * non_cpu + (1.0 - EMA_ALPHA) * self._non_cpu_est_w
-                )
-        self._recent.append((self.sim.now, node_w, tuple(gpu_w)))
         self.broker.telemetry.accountant.charge("manager", MANAGER_TRACK_COST_S)
-        self.policy.on_sample(self.sim.now, node_w, gpu_w)
+        self.policy.on_sample(self.sim.now, node_w, self.device_w["gpu"])
 
     # ------------------------------------------------------------------
     # Services
@@ -365,9 +377,7 @@ class NodeManagerModule(Module):
             # estimates start fresh (the previous job's draw profile is
             # stale information).
             self.current_jobid = jobid
-            self._recent_non_gpu.clear()
-            self._recent_non_cpu.clear()
-            self._recent_mem.clear()
+            self._clear_estimates()
             reset = getattr(self.policy, "reset_job_state", None)
             if reset is not None:
                 reset()
@@ -378,14 +388,17 @@ class NodeManagerModule(Module):
     def _handle_job_departed(self, broker: Broker, msg: Message) -> None:
         self.current_jobid = None
         self.node_limit_w = None
-        self._recent_non_gpu.clear()
-        self._recent_non_cpu.clear()
-        self._recent_mem.clear()
-        self.clear_gpu_caps()
+        self._clear_estimates()
+        self.clear_caps("gpu")
         self.policy.detach()
         self.policy = self.policy_factory()
         self.policy.attach(self)
         broker.respond(msg, {"rank": broker.rank})
+
+    def _clear_estimates(self) -> None:
+        for window in self._recent_other.values():
+            window.clear()
+        self._recent_mem.clear()
 
     def _on_job_state(self, msg: Message) -> None:
         """Forward job-state events that involve this node to the policy."""
@@ -404,24 +417,22 @@ class NodeManagerModule(Module):
         Captures the assigned limit, the learned power estimates and the
         policy's controller state — everything a restored manager needs
         to continue enforcing without re-deriving caps. Installed device
-        caps (``_last_*_caps``) ride along so the restored idempotence
-        check doesn't re-issue writes the hardware already holds.
+        caps (``last_<domain>_caps``) ride along so the restored
+        idempotence check doesn't re-issue writes the hardware already
+        holds.
         """
-        return {
+        state = {
             "rank": self.broker.rank,
             "node_limit_w": self.node_limit_w,
             "current_jobid": self.current_jobid,
-            "non_gpu_est_w": self._non_gpu_est_w,
-            "non_cpu_est_w": self._non_cpu_est_w,
-            "recent_non_gpu": list(self._recent_non_gpu),
-            "recent_non_cpu": list(self._recent_non_cpu),
             "recent_mem": list(self._recent_mem),
-            "recent": [[t, w, list(gpus)] for t, w, gpus in self._recent],
-            "last_gpu_caps": list(self._last_gpu_caps),
-            "last_socket_caps": list(self._last_socket_caps),
             "cap_request_failures": self.cap_request_failures,
             "policy": {"name": self.policy.name, "state": self.policy.snapshot()},
         }
+        for domain, cls in CAP_CLASSES.items():
+            state[cls.window_key] = list(self._recent_other[domain])
+            state[f"last_{domain}_caps"] = list(self._last_caps[domain])
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Rehydrate from :meth:`snapshot_state`; ``{}`` wipes to fresh.
@@ -434,31 +445,18 @@ class NodeManagerModule(Module):
         limit = state.get("node_limit_w")
         self.node_limit_w = None if limit is None else float(limit)
         self.current_jobid = state.get("current_jobid")
-        est = state.get("non_gpu_est_w")
-        self._non_gpu_est_w = None if est is None else float(est)
-        est = state.get("non_cpu_est_w")
-        self._non_cpu_est_w = None if est is None else float(est)
-        for attr, key in (
-            ("_recent_non_gpu", "recent_non_gpu"),
-            ("_recent_non_cpu", "recent_non_cpu"),
-            ("_recent_mem", "recent_mem"),
-        ):
-            window = getattr(self, attr)
+        self._recent_mem.clear()
+        self._recent_mem.extend(float(w) for w in state.get("recent_mem") or [])
+        for domain, cls in CAP_CLASSES.items():
+            window = self._recent_other[domain]
             window.clear()
-            window.extend(float(w) for w in state.get(key) or [])
-        self._recent.clear()
-        for t, w, gpus in state.get("recent") or []:
-            self._recent.append(
-                (float(t), float(w), tuple(float(g) for g in gpus))
-            )
-        caps = state.get("last_gpu_caps")
-        if caps is None:
-            caps = [None] * self.gpu_count
-        self._last_gpu_caps = [None if c is None else float(c) for c in caps]
-        caps = state.get("last_socket_caps")
-        if caps is None:
-            caps = [None] * self.socket_count
-        self._last_socket_caps = [None if c is None else float(c) for c in caps]
+            window.extend(float(w) for w in state.get(cls.window_key) or [])
+            caps = state.get(f"last_{domain}_caps")
+            if caps is None:
+                caps = [None] * self.device_count(domain)
+            self._last_caps[domain] = [
+                None if c is None else float(c) for c in caps
+            ]
         self.cap_request_failures = int(state.get("cap_request_failures", 0))
         policy_state = state.get("policy") or {}
         self.policy.restore(policy_state.get("state") or {})
@@ -470,8 +468,8 @@ class NodeManagerModule(Module):
                 "rank": broker.rank,
                 "node_limit_w": self.node_limit_w,
                 "jobid": self.current_jobid,
-                "non_gpu_w": self.non_gpu_power_w(),
-                "gpu_caps_w": list(self._last_gpu_caps),
+                "non_gpu_w": self.other_power_w("gpu"),
+                "gpu_caps_w": list(self._last_caps["gpu"]),
                 "cap_failures": self.cap_request_failures,
                 "policy": self.policy.describe(),
             },

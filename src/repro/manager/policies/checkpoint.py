@@ -145,8 +145,8 @@ class CheckpointAwarePolicy(PowerPolicy):
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         assert self.manager is not None
         if limit_w is None:
-            self.manager.clear_gpu_caps()
-            self.manager.clear_socket_caps()
+            self.manager.clear_caps("gpu")
+            self.manager.clear_caps("socket")
             return
         self._enforce_compute_share(limit_w)
 
@@ -157,22 +157,22 @@ class CheckpointAwarePolicy(PowerPolicy):
         """Per-GPU cap from the *compute-phase* non-GPU estimate."""
         m = self.manager
         assert m is not None
-        lo, hi = m.gpu_cap_range
-        n = m.gpu_count
+        lo, hi = m.cap_range("gpu")
+        n = m.device_count("gpu")
         if n == 0:
             return 0.0
         if self._compute_non_gpu:
             non_gpu = max(self._compute_non_gpu)
             per_gpu = (float(limit_w) - non_gpu) / n
             return float(min(max(per_gpu, lo), hi))
-        return m.derive_gpu_share(float(limit_w))
+        return m.derive_share("gpu", float(limit_w))
 
     def _enforce_compute_share(self, limit_w: float) -> None:
         m = self.manager
         assert m is not None
         per_gpu = self._compute_share(limit_w)
-        for i in range(m.gpu_count):
-            m.set_gpu_cap(i, per_gpu)
+        for i in range(m.device_count("gpu")):
+            m.set_cap("gpu", i, per_gpu)
 
     # ------------------------------------------------------------------
     # Sampling: mode detection + enforcement
@@ -252,40 +252,40 @@ class CheckpointAwarePolicy(PowerPolicy):
         """Inside a window: squeeze GPUs, grant the surplus to sockets."""
         m = self.manager
         assert m is not None
-        g_lo, g_hi = m.gpu_cap_range
+        g_lo, g_hi = m.cap_range("gpu")
         granted = 0.0
         for i, w in enumerate(gpu_w):
             cap = min(max(w + self.margin_w, g_lo), g_hi)
-            m.set_gpu_cap(i, cap)
+            m.set_cap("gpu", i, cap)
             granted += cap
-        n_sock = m.socket_count
+        n_sock = m.device_count("socket")
         if n_sock == 0:
             return
-        s_lo, s_hi = m.socket_cap_range
+        s_lo, s_hi = m.cap_range("socket")
         # CPU-side budget: everything the limit allows once the
         # (squeezed) GPU grant and the uncappable memory draw are paid.
         cpu_budget = float(limit) - granted - m.mem_power_w()
         per_sock = min(max(cpu_budget / n_sock, s_lo), s_hi)
         for i in range(n_sock):
-            m.set_socket_cap(i, per_sock)
+            m.set_cap("socket", i, per_sock)
 
     def _restore_compute_caps(self, limit: float) -> None:
         m = self.manager
         assert m is not None
         self._enforce_compute_share(limit)
-        n_sock = m.socket_count
+        n_sock = m.device_count("socket")
         if n_sock == 0:
             return
-        s_lo, s_hi = m.socket_cap_range
+        s_lo, s_hi = m.cap_range("socket")
         # Back to compute mode: sockets return to their uniform share
         # of what the limit leaves after the GPU grant.
         per_gpu = self._compute_share(limit)
         cpu_budget = (
-            float(limit) - per_gpu * m.gpu_count - m.mem_power_w()
+            float(limit) - per_gpu * m.device_count("gpu") - m.mem_power_w()
         )
         per_sock = min(max(cpu_budget / n_sock, s_lo), s_hi)
         for i in range(n_sock):
-            m.set_socket_cap(i, per_sock)
+            m.set_cap("socket", i, per_sock)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

@@ -135,8 +135,8 @@ class EcoShiftPolicy(PowerPolicy):
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         assert self.manager is not None
         if limit_w is None:
-            self.manager.clear_gpu_caps()
-            self.manager.clear_socket_caps()
+            self.manager.clear_caps("gpu")
+            self.manager.clear_caps("socket")
             return
         # Until demand history accumulates, enforce the GPU-side share
         # like the proportional policy (safe: sockets stay uncapped).
@@ -180,12 +180,12 @@ class EcoShiftPolicy(PowerPolicy):
             return
         if len(self._gpu_demand) < self.window:
             return  # still warming up; share enforcement holds
-        n_gpu = m.gpu_count
-        n_sock = m.socket_count
+        n_gpu = m.device_count("gpu")
+        n_sock = m.device_count("socket")
         if n_gpu == 0 or n_sock == 0:
             return
-        g_lo, g_hi = m.gpu_cap_range
-        s_lo, s_hi = m.socket_cap_range
+        g_lo, g_hi = m.cap_range("gpu")
+        s_lo, s_hi = m.cap_range("socket")
         budget = float(limit) - m.mem_power_w()
         cpu_alloc, gpu_alloc = split_node_budget(
             budget,
@@ -197,9 +197,9 @@ class EcoShiftPolicy(PowerPolicy):
         )
         self.last_split_w = (cpu_alloc, gpu_alloc)
         for i in range(n_sock):
-            m.set_socket_cap(i, cpu_alloc / n_sock)
+            m.set_cap("socket", i, cpu_alloc / n_sock)
         for i in range(n_gpu):
-            m.set_gpu_cap(i, gpu_alloc / n_gpu)
+            m.set_cap("gpu", i, gpu_alloc / n_gpu)
         tel = m.broker.telemetry
         tel.metrics.gauge(
             "policy_domain_budget_w", labels={"domain": "cpu"},

@@ -190,34 +190,49 @@ class FPPGpuController:
 
 
 class FPPPolicy(PowerPolicy):
-    """Node-level FPP: one controller per GPU, 90 s control cadence.
+    """Node-level FPP: one controller per device, 90 s control cadence.
 
     The node power limit assigned by the job-level manager defines each
-    GPU's *ceiling* (``GPU_Power_Lim``, derived exactly like the
-    proportional policy's uniform split); FPP then moves each GPU's cap
-    independently below that ceiling — non-uniform per-GPU distribution
-    is the point of running it per device.
+    device's *ceiling* (``GPU_Power_Lim``, derived exactly like the
+    proportional policy's uniform split); FPP then moves each device's
+    cap independently below that ceiling — non-uniform per-device
+    distribution is the point of running it per device.
+
+    Algorithm 1 is device-agnostic (Section III-B2): :attr:`domain`
+    names the node manager's cap domain the controllers run on. This
+    class drives GPUs; :class:`~repro.manager.policies.fpp_socket.
+    FPPSocketPolicy` drives CPU sockets through the same code.
     """
 
     name = "fpp"
+    #: Cap domain of the node manager (``"gpu"`` or ``"socket"``).
+    domain = "gpu"
+    #: Algorithm 1 constants used when the constructor gets none.
+    default_params = FPPParams()
 
     def __init__(self, params: Optional[FPPParams] = None) -> None:
         super().__init__()
-        self.params = params or FPPParams()
+        self.params = params or self.default_params
         self.controllers: List[FPPGpuController] = []
         self.caps_w: List[float] = []
         self._timer = None
         self._last_limit_w: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def attach(self, manager) -> None:
-        super().attach(manager)
-        n = manager.gpu_count
+    def _fresh_controllers(self) -> int:
+        """Attach-fresh controllers, one per device; returns the count."""
+        assert self.manager is not None
+        n = self.manager.device_count(self.domain)
         self.controllers = [
-            FPPGpuController(i, self.params, manager.sample_interval_s)
+            FPPGpuController(i, self.params, self.manager.sample_interval_s)
             for i in range(n)
         ]
-        lo, hi = manager.gpu_cap_range
+        return n
+
+    def attach(self, manager) -> None:
+        super().attach(manager)
+        n = self._fresh_controllers()
+        _lo, hi = manager.cap_range(self.domain)
         self.caps_w = [min(self.params.max_gpu_cap_w, hi)] * n
         self._timer = manager.add_timer(
             self.params.powercap_time_s, self._control_tick
@@ -233,18 +248,18 @@ class FPPPolicy(PowerPolicy):
     def _ceiling(self) -> float:
         """GPU_Power_Lim: derived max cap from the node-level limit."""
         assert self.manager is not None
-        lo, hi = self.manager.gpu_cap_range
+        _lo, hi = self.manager.cap_range(self.domain)
         limit = self.manager.node_limit_w
         if limit is None:
             derived = hi
         else:
-            derived = self.manager.derive_gpu_share(limit)
+            derived = self.manager.derive_share(self.domain, limit)
         return min(self.params.max_gpu_cap_w, derived, hi)
 
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         assert self.manager is not None
         ceiling = self._ceiling()
-        lo, _hi = self.manager.gpu_cap_range
+        lo, _hi = self.manager.cap_range(self.domain)
         previous = self._last_limit_w
         self._last_limit_w = limit_w
         if limit_w != previous:
@@ -256,7 +271,7 @@ class FPPPolicy(PowerPolicy):
             if increased:
                 # Headroom appeared (a co-running job departed).
                 # Algorithm 1's MAIN derives P_cap_cur from the
-                # node-level limit, so restart the per-GPU state
+                # node-level limit, so restart the per-device state
                 # machines at the new ceiling and probe again.
                 self.reset_job_state()
                 return
@@ -270,25 +285,25 @@ class FPPPolicy(PowerPolicy):
             # cadence.
             if self.caps_w[i] > ceiling:
                 self.caps_w[i] = max(lo, ceiling)
-            self.manager.set_gpu_cap(i, self.caps_w[i])
+            self.manager.set_cap(self.domain, i, self.caps_w[i])
 
     def on_sample(self, timestamp: float, node_w: float, gpu_w: list) -> None:
-        for ctl, w in zip(self.controllers, gpu_w):
+        assert self.manager is not None
+        for ctl, w in zip(self.controllers, self.manager.device_w[self.domain]):
             ctl.store_power(w)
-        # The budget ceiling moves as the node manager's non-GPU power
+        # The budget ceiling moves as the node manager's other-power
         # estimate refines; a meaningful ceiling decrease must be
         # enforced at once (the share is a hard limit), while increases
         # wait for FPP's own control cadence. The 10 W hysteresis stops
         # phase-induced jitter in the estimate from ratcheting caps
         # down between control ticks.
-        assert self.manager is not None
         if self.manager.node_limit_w is not None:
             ceiling = self._ceiling()
-            lo, _hi = self.manager.gpu_cap_range
+            lo, _hi = self.manager.cap_range(self.domain)
             for i in range(len(self.caps_w)):
                 if self.caps_w[i] > ceiling + 10.0:
                     self.caps_w[i] = max(lo, ceiling)
-                    self.manager.set_gpu_cap(i, self.caps_w[i])
+                    self.manager.set_cap(self.domain, i, self.caps_w[i])
 
     def _control_tick(self, _timer) -> None:
         assert self.manager is not None
@@ -300,7 +315,7 @@ class FPPPolicy(PowerPolicy):
             "fpp_control_ticks_total",
             help="FPP 90 s control-interval evaluations (active nodes)",
         ).inc()
-        lo, _hi = self.manager.gpu_cap_range
+        lo, _hi = self.manager.cap_range(self.domain)
         ceiling = self._ceiling()
         with tel.tracer.trace_span(
             "fpp.control_tick", "manager", rank=rank, gpus=len(self.controllers)
@@ -331,22 +346,18 @@ class FPPPolicy(PowerPolicy):
                         help="FPP per-GPU cap adjustments, by direction",
                     ).inc()
                     self.caps_w[i] = new_cap
-                    self.manager.set_gpu_cap(i, new_cap)
+                    self.manager.set_cap(self.domain, i, new_cap)
                 ctl.reset_buffer()
 
     def reset_job_state(self) -> None:
         """Fresh controllers when a new job lands on the node."""
         assert self.manager is not None
-        n = self.manager.gpu_count
-        self.controllers = [
-            FPPGpuController(i, self.params, self.manager.sample_interval_s)
-            for i in range(n)
-        ]
-        lo, hi = self.manager.gpu_cap_range
+        n = self._fresh_controllers()
+        lo, _hi = self.manager.cap_range(self.domain)
         ceiling = self._ceiling()
         self.caps_w = [max(lo, ceiling)] * n
         for i in range(n):
-            self.manager.set_gpu_cap(i, self.caps_w[i])
+            self.manager.set_cap(self.domain, i, self.caps_w[i])
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -360,22 +371,20 @@ class FPPPolicy(PowerPolicy):
 
     def restore(self, state) -> None:
         assert self.manager is not None
-        n = self.manager.gpu_count
         ctl_states = state.get("controllers")
         if ctl_states is None:
             # Amnesiac wipe: back to attach-fresh state (no cap writes;
             # installed hardware caps are environment, not policy state).
-            self.controllers = [
-                FPPGpuController(i, self.params, self.manager.sample_interval_s)
-                for i in range(n)
-            ]
-            _lo, hi = self.manager.gpu_cap_range
+            n = self._fresh_controllers()
+            _lo, hi = self.manager.cap_range(self.domain)
             self.caps_w = [min(self.params.max_gpu_cap_w, hi)] * n
             self._last_limit_w = None
             return
+        n = self.manager.device_count(self.domain)
         if len(ctl_states) != n:
             raise ValueError(
-                f"snapshot has {len(ctl_states)} controllers, node has {n} GPUs"
+                f"snapshot has {len(ctl_states)} controllers, node has "
+                f"{n} {self.domain} devices"
             )
         for ctl, ctl_state in zip(self.controllers, ctl_states):
             ctl.restore(ctl_state)

@@ -3,19 +3,18 @@
 Section III-B2: "While we utilize this policy on GPUs, it is
 device-agnostic from a logistical perspective, and can be easily
 extended to be utilized for socket-level or memory-level power
-capping." This policy runs Algorithm 1 unchanged, but per *CPU socket*:
-the period detector consumes socket power and the cap dial is the
-socket limit (RAPL on Intel, E-SMI on AMD, the service processor on
-IBM). Parameters default to socket-appropriate magnitudes — a Power9
-socket spans ~50-250 W rather than a V100's 100-300 W.
+capping." This policy runs Algorithm 1 unchanged — the same
+:class:`~repro.manager.policies.fpp.FPPPolicy` code — on the node
+manager's ``"socket"`` cap domain: the period detector consumes socket
+power and the cap dial is the socket limit (RAPL on Intel, E-SMI on
+AMD, the service processor on IBM). Parameters default to
+socket-appropriate magnitudes — a Power9 socket spans ~50-250 W rather
+than a V100's 100-300 W.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.manager.policies.base import PowerPolicy
-from repro.manager.policies.fpp import FPPGpuController, FPPParams
+from repro.manager.policies.fpp import FPPParams, FPPPolicy
 
 #: Socket-scaled Algorithm 1 constants: shallower probe and steps for
 #: the narrower socket power range.
@@ -26,134 +25,9 @@ SOCKET_FPP_PARAMS = FPPParams(
 )
 
 
-class FPPSocketPolicy(PowerPolicy):
+class FPPSocketPolicy(FPPPolicy):
     """Algorithm 1 applied to CPU sockets instead of GPUs."""
 
     name = "fpp-socket"
-
-    def __init__(self, params: Optional[FPPParams] = None) -> None:
-        super().__init__()
-        self.params = params or SOCKET_FPP_PARAMS
-        self.controllers: List[FPPGpuController] = []
-        self.caps_w: List[float] = []
-        self._timer = None
-        self._last_limit_w: Optional[float] = None
-
-    def attach(self, manager) -> None:
-        super().attach(manager)
-        n = manager.socket_count
-        self.controllers = [
-            FPPGpuController(i, self.params, manager.sample_interval_s)
-            for i in range(n)
-        ]
-        lo, hi = manager.socket_cap_range
-        self.caps_w = [min(self.params.max_gpu_cap_w, hi)] * n
-        self._timer = manager.add_timer(
-            self.params.powercap_time_s, self._control_tick
-        )
-
-    def detach(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-        super().detach()
-
-    def _ceiling(self) -> float:
-        assert self.manager is not None
-        lo, hi = self.manager.socket_cap_range
-        limit = self.manager.node_limit_w
-        derived = hi if limit is None else self.manager.derive_socket_share(limit)
-        return min(self.params.max_gpu_cap_w, derived, hi)
-
-    def on_node_limit(self, limit_w: Optional[float]) -> None:
-        assert self.manager is not None
-        previous = self._last_limit_w
-        self._last_limit_w = limit_w
-        if limit_w != previous:
-            self.reset_job_state()
-            return
-        ceiling = self._ceiling()
-        lo, _hi = self.manager.socket_cap_range
-        for i in range(len(self.caps_w)):
-            if self.caps_w[i] > ceiling:
-                self.caps_w[i] = max(lo, ceiling)
-            self.manager.set_socket_cap(i, self.caps_w[i])
-
-    def on_sample(self, timestamp: float, node_w: float, gpu_w: list) -> None:
-        assert self.manager is not None
-        # The tracker hands GPU power; socket FPP reads its own dials.
-        cpu_w = [d.actual_w for d in self.manager.broker.node.cpu_domains]
-        for ctl, w in zip(self.controllers, cpu_w):
-            ctl.store_power(w)
-        if self.manager.node_limit_w is not None:
-            ceiling = self._ceiling()
-            lo, _hi = self.manager.socket_cap_range
-            for i in range(len(self.caps_w)):
-                if self.caps_w[i] > ceiling + 10.0:
-                    self.caps_w[i] = max(lo, ceiling)
-                    self.manager.set_socket_cap(i, self.caps_w[i])
-
-    def _control_tick(self, _timer) -> None:
-        assert self.manager is not None
-        if self.manager.node_limit_w is None and not self.manager.job_present:
-            return
-        lo, _hi = self.manager.socket_cap_range
-        ceiling = self._ceiling()
-        for i, ctl in enumerate(self.controllers):
-            ctl.refresh_period()
-            new_cap = ctl.next_cap(self.caps_w[i], lo, ceiling)
-            if new_cap != self.caps_w[i]:
-                self.caps_w[i] = new_cap
-                self.manager.set_socket_cap(i, new_cap)
-            ctl.reset_buffer()
-
-    def reset_job_state(self) -> None:
-        assert self.manager is not None
-        n = self.manager.socket_count
-        self.controllers = [
-            FPPGpuController(i, self.params, self.manager.sample_interval_s)
-            for i in range(n)
-        ]
-        lo, _hi = self.manager.socket_cap_range
-        ceiling = self._ceiling()
-        self.caps_w = [max(lo, ceiling)] * n
-        for i in range(n):
-            self.manager.set_socket_cap(i, self.caps_w[i])
-
-    def snapshot(self) -> dict:
-        return {
-            "caps_w": list(self.caps_w),
-            "last_limit_w": self._last_limit_w,
-            "controllers": [c.snapshot() for c in self.controllers],
-        }
-
-    def restore(self, state) -> None:
-        assert self.manager is not None
-        n = self.manager.socket_count
-        ctl_states = state.get("controllers")
-        if ctl_states is None:
-            self.controllers = [
-                FPPGpuController(i, self.params, self.manager.sample_interval_s)
-                for i in range(n)
-            ]
-            _lo, hi = self.manager.socket_cap_range
-            self.caps_w = [min(self.params.max_gpu_cap_w, hi)] * n
-            self._last_limit_w = None
-            return
-        if len(ctl_states) != n:
-            raise ValueError(
-                f"snapshot has {len(ctl_states)} controllers, "
-                f"node has {n} sockets"
-            )
-        for ctl, ctl_state in zip(self.controllers, ctl_states):
-            ctl.restore(ctl_state)
-        self.caps_w = [float(w) for w in state.get("caps_w") or []]
-        last_limit = state.get("last_limit_w")
-        self._last_limit_w = None if last_limit is None else float(last_limit)
-
-    def describe(self) -> dict:
-        return {
-            "policy": self.name,
-            "caps_w": list(self.caps_w),
-            "controllers": [c.describe() for c in self.controllers],
-        }
+    domain = "socket"
+    default_params = SOCKET_FPP_PARAMS

@@ -48,40 +48,42 @@ class HistoryPolicy(PowerPolicy):
     def attach(self, manager) -> None:
         super().attach(manager)
         self._history = [
-            deque(maxlen=self.window) for _ in range(manager.gpu_count)
+            deque(maxlen=self.window)
+            for _ in range(manager.device_count("gpu"))
         ]
 
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         assert self.manager is not None
         if limit_w is None:
-            self.manager.clear_gpu_caps()
+            self.manager.clear_caps("gpu")
             return
         # The share is the ceiling until history accumulates.
         self.manager.enforce_limit_via_gpus(limit_w)
 
     def _share_ceiling(self) -> float:
         assert self.manager is not None
-        lo, hi = self.manager.gpu_cap_range
+        lo, hi = self.manager.cap_range("gpu")
         if self.manager.node_limit_w is None:
             return hi
-        return self.manager.derive_gpu_share(self.manager.node_limit_w)
+        return self.manager.derive_share("gpu", self.manager.node_limit_w)
 
     def on_sample(self, timestamp: float, node_w: float, gpu_w: list) -> None:
         assert self.manager is not None
         ceiling = self._share_ceiling()
-        lo, hi = self.manager.gpu_cap_range
+        lo, hi = self.manager.cap_range("gpu")
         for i, watts in enumerate(gpu_w):
             self._history[i].append(watts)
             if len(self._history[i]) < self.window:
                 continue  # not enough history yet
             cap = max(self._history[i]) + self.margin_w
             cap = min(max(cap, lo), ceiling, hi)
-            self.manager.set_gpu_cap(i, cap)
+            self.manager.set_cap("gpu", i, cap)
 
     def reset_job_state(self) -> None:
         assert self.manager is not None
         self._history = [
-            deque(maxlen=self.window) for _ in range(self.manager.gpu_count)
+            deque(maxlen=self.window)
+            for _ in range(self.manager.device_count("gpu"))
         ]
 
     def snapshot(self) -> dict:
@@ -90,7 +92,8 @@ class HistoryPolicy(PowerPolicy):
     def restore(self, state) -> None:
         assert self.manager is not None
         self._history = [
-            deque(maxlen=self.window) for _ in range(self.manager.gpu_count)
+            deque(maxlen=self.window)
+            for _ in range(self.manager.device_count("gpu"))
         ]
         for h, saved in zip(self._history, state.get("history") or []):
             h.extend(float(w) for w in saved)

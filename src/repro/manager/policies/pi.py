@@ -141,7 +141,7 @@ class PIPolicy(PowerPolicy):
         assert self.manager is not None
         if limit_w is None:
             self.integral_ws = 0.0
-            self.manager.clear_gpu_caps()
+            self.manager.clear_caps("gpu")
             return
         # Feed-forward step to the uniform share; the loop corrects the
         # residual from the next control tick on.
@@ -176,13 +176,13 @@ class PIPolicy(PowerPolicy):
         limit = m.node_limit_w
         if limit is None or self._last_node_w is None or not m.job_present:
             return
-        n = m.gpu_count
+        n = m.device_count("gpu")
         if n == 0:
             return
-        lo, hi = m.gpu_cap_range
+        lo, hi = m.cap_range("gpu")
         p = self.params
         error_w = (float(limit) - p.margin_w) - self._last_node_w
-        base_w = m.derive_gpu_share(limit) * n
+        base_w = m.derive_share("gpu", limit) * n
         budget_w, self.integral_ws = pi_step(
             error_w,
             self.integral_ws,
@@ -197,7 +197,7 @@ class PIPolicy(PowerPolicy):
         self.last_error_w = error_w
         per_gpu = budget_w / n
         for i in range(n):
-            m.set_gpu_cap(i, per_gpu)
+            m.set_cap("gpu", i, per_gpu)
         m.broker.telemetry.metrics.counter(
             "policy_control_updates_total", labels={"policy": self.name},
             help="dynamic-policy control-loop evaluations, by policy",

@@ -53,7 +53,7 @@ class ProportionalPolicy(PowerPolicy):
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         assert self.manager is not None
         if limit_w is None:
-            self.manager.clear_gpu_caps()
+            self.manager.clear_caps("gpu")
             return
         self.manager.enforce_limit_via_gpus(limit_w)
 

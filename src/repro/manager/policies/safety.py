@@ -105,7 +105,7 @@ class _GuardedManagerProxy:
     """The node manager as seen by a wrapped policy.
 
     Transparent for reads (``__getattr__`` delegates), interposing on
-    the three write paths: ``set_gpu_cap``, ``set_socket_cap`` and
+    the two write paths: ``set_cap`` (every cap domain) and
     ``enforce_limit_via_gpus``.
     """
 
@@ -116,11 +116,8 @@ class _GuardedManagerProxy:
     def __getattr__(self, name):
         return getattr(self._manager, name)
 
-    def set_gpu_cap(self, index: int, watts: float) -> None:
-        self._wrapper._guarded_write("gpu", index, watts)
-
-    def set_socket_cap(self, index: int, watts: float) -> None:
-        self._wrapper._guarded_write("socket", index, watts)
+    def set_cap(self, domain: str, index: int, watts: float) -> None:
+        self._wrapper._guarded_write(domain, index, watts)
 
     def enforce_limit_via_gpus(self, node_limit_w: float) -> None:
         # An inner policy asking to enforce *above* the assigned node
@@ -128,8 +125,8 @@ class _GuardedManagerProxy:
         assigned = self._manager.node_limit_w
         if assigned is not None:
             node_limit_w = min(float(node_limit_w), float(assigned))
-        per_gpu = self._manager.derive_gpu_share(node_limit_w)
-        for i in range(self._manager.gpu_count):
+        per_gpu = self._manager.derive_share("gpu", node_limit_w)
+        for i in range(self._manager.device_count("gpu")):
             self._wrapper._guarded_write("gpu", i, per_gpu)
 
 
@@ -237,35 +234,17 @@ class PolicySafetyWrapper(PowerPolicy):
     # ------------------------------------------------------------------
     # Guarded write path
     # ------------------------------------------------------------------
-    def _bounds(self, domain: str) -> Tuple[float, float, int, Optional[float]]:
-        """(lo, hi, device count, uniform share) for a cap domain."""
-        m = self.manager
-        assert m is not None
-        limit = m.node_limit_w
-        if domain == "gpu":
-            lo, hi = m.gpu_cap_range
-            n = m.gpu_count
-            share = None if limit is None else m.derive_gpu_share(limit)
-        else:
-            lo, hi = m.socket_cap_range
-            n = m.socket_count
-            share = None if limit is None else m.derive_socket_share(limit)
-        return lo, hi, n, share
-
     def _guarded_write(self, domain: str, index: int, watts: float) -> None:
         m = self.manager
         assert m is not None
-        lo, hi, n, share = self._bounds(domain)
+        lo, hi = m.cap_range(domain)
+        n = m.device_count(domain)
         limit = m.node_limit_w
-        ceiling = None
-        if limit is not None and n > 0:
-            other_w = (
-                m.non_gpu_power_w() if domain == "gpu" else m.non_cpu_power_w()
-            )
-            ceiling = max(lo, (float(limit) - other_w) / n)
-        floor = None
-        if share is not None:
-            floor = max(lo, share / self.slowdown)
+        ceiling = floor = None
+        if limit is not None:
+            floor = max(lo, m.derive_share(domain, limit) / self.slowdown)
+            if n > 0:
+                ceiling = max(lo, (float(limit) - m.other_power_w(domain)) / n)
         decision = guard_cap(
             watts,
             last_w=self._intents.get((domain, index)),
@@ -296,10 +275,7 @@ class PolicySafetyWrapper(PowerPolicy):
                     help="cap writes raised to the slowdown floor",
                 ).inc()
         self._intents[(domain, index)] = decision.cap_w
-        if domain == "gpu":
-            m.set_gpu_cap(index, decision.cap_w)
-        else:
-            m.set_socket_cap(index, decision.cap_w)
+        m.set_cap(domain, index, decision.cap_w)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.lifecycle.machine import MAINTENANCE, RETIRED
+from repro.manager.node_manager import CAP_CLASSES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simtest.harness import SimtestContext
@@ -210,32 +211,21 @@ class CapRangeChecker(InvariantChecker):
             broker = nm.broker
             if nm.name not in broker.modules or broker.modules[nm.name] is not nm:
                 continue  # crashed / replaced manager: nothing installed
-            lo, hi = nm.gpu_cap_range
-            for i, cap in enumerate(nm._last_gpu_caps):
-                if cap is None:
-                    continue
-                if cap < lo - REL_EPS or cap > hi + REL_EPS:
-                    out.append(
-                        self.violation(
-                            ctx,
-                            f"rank {broker.rank} gpu{i} cap {cap:.2f} W outside "
-                            f"[{lo:.0f}, {hi:.0f}] W",
-                            rank=broker.rank, gpu=i, cap_w=cap, lo_w=lo, hi_w=hi,
+            for domain in CAP_CLASSES:
+                lo, hi = nm.cap_range(domain)
+                for i, cap in enumerate(nm._last_caps[domain]):
+                    if cap is None:
+                        continue
+                    if cap < lo - REL_EPS or cap > hi + REL_EPS:
+                        out.append(
+                            self.violation(
+                                ctx,
+                                f"rank {broker.rank} {domain}{i} cap {cap:.2f} W "
+                                f"outside [{lo:.0f}, {hi:.0f}] W",
+                                rank=broker.rank, **{domain: i},
+                                cap_w=cap, lo_w=lo, hi_w=hi,
+                            )
                         )
-                    )
-            slo, shi = nm.socket_cap_range
-            for i, cap in enumerate(nm._last_socket_caps):
-                if cap is None:
-                    continue
-                if cap < slo - REL_EPS or cap > shi + REL_EPS:
-                    out.append(
-                        self.violation(
-                            ctx,
-                            f"rank {broker.rank} socket{i} cap {cap:.2f} W outside "
-                            f"[{slo:.0f}, {shi:.0f}] W",
-                            rank=broker.rank, socket=i, cap_w=cap, lo_w=slo, hi_w=shi,
-                        )
-                    )
             if nm.node_limit_w is not None and nm.node_limit_w <= 0:
                 out.append(
                     self.violation(

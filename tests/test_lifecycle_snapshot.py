@@ -27,6 +27,7 @@ from repro.lifecycle.snapshot import (
 )
 from repro.manager.cluster_manager import ManagerConfig
 from repro.manager.policies.safety import PolicySafetyWrapper
+from repro.simtest.scenario import Scenario
 
 
 def _managed_cluster(policy: str, seed: int = 3, n_nodes: int = 4):
@@ -194,7 +195,7 @@ def test_restore_then_step_matches_uninterrupted_run(policy):
         b = base.manager.node_managers[rank]
         c = crashed.manager.node_managers[rank]
         assert b.policy.describe() == c.policy.describe()
-        assert b._last_gpu_caps == c._last_gpu_caps
+        assert b._last_caps["gpu"] == c._last_caps["gpu"]
         assert b.node_limit_w == c.node_limit_w
     assert (
         base.manager.cluster.job_level.assignment_log
@@ -223,3 +224,84 @@ def test_naive_restore_without_policy_state_loses_damper_memory():
     restore_cluster(cluster, snap)
     assert wrapper._intents == {}
     assert wrapper.damperexits == 0
+
+
+# ----------------------------------------------------------------------
+# The ``repro lifecycle`` front refuses bad artifacts before any run
+# ----------------------------------------------------------------------
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail the test if the CLI starts a simulation."""
+    import repro.simtest
+
+    def _refuse(*_args, **_kwargs):
+        raise AssertionError("a bad artifact must be refused before any run")
+
+    monkeypatch.setattr(repro.simtest, "run_scenario", _refuse)
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ({"scenario": {"seed": 1}, "t": 1}, "no schema_version"),
+        (
+            {"schema_version": 1, "kind": "cluster", "t": 1.0,
+             "scenario": Scenario(seed=1).to_dict()},
+            "schema version 1",
+        ),
+        ({"schema_version": SCHEMA_VERSION, "kind": "site", "t": 1.0}, "kind"),
+        (
+            {"schema_version": SCHEMA_VERSION, "kind": "cluster", "t": 1.0,
+             "scenario": {"seed": 1}},
+            "KeyError",
+        ),
+        (
+            {"schema_version": SCHEMA_VERSION, "kind": "cluster", "t": 1.0},
+            "embeds no scenario",
+        ),
+        ([1, 2], "JSON object"),
+    ],
+    ids=["bare", "v1", "site", "bad-scenario", "no-scenario", "list"],
+)
+def test_cli_restore_refuses_bad_artifacts(tmp_path, capsys, no_runs, payload, reason):
+    from repro.cli import main
+
+    path = _write(tmp_path / "bad.json", payload)
+    assert main(["lifecycle", "--restore", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot restore: {path}: ")
+    assert reason in err
+
+
+def test_cli_restore_refuses_unreadable_file(tmp_path, capsys, no_runs):
+    from repro.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["lifecycle", "--restore", str(path)]) == 2
+    assert "cannot read snapshot" in capsys.readouterr().err
+
+
+def test_cli_diff_validates_both_envelopes(tmp_path, capsys):
+    from repro.cli import main
+
+    foo = _write(tmp_path / "foo.json", {"foo": 1})
+    assert main(["lifecycle", "--diff", foo, foo]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot diff: {foo}: not a snapshot")
+
+    cluster = _managed_cluster("proportional")
+    cluster.run_for(10.0)
+    snap = snapshot_cluster(cluster)
+    good = str(tmp_path / "good.json")
+    save_snapshot(snap, good)
+    old = _write(tmp_path / "old.json", dict(snap, schema_version=1))
+    assert main(["lifecycle", "--diff", good, old]) == 2
+    assert "schema version 1" in capsys.readouterr().err
+
+    assert main(["lifecycle", "--diff", good, good]) == 0
+    assert capsys.readouterr().out.strip() == "0 difference(s)"

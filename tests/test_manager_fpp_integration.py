@@ -31,7 +31,7 @@ def test_fpp_probes_quicksilver_then_converges():
     # Stable 20 s period: all controllers converged after the probe.
     assert all(c["converged"] for c in desc["controllers"])
     # Caps sit a probe below the derived ceiling.
-    ceiling = nm.derive_gpu_share(1200.0)
+    ceiling = nm.derive_share("gpu", 1200.0)
     assert all(c <= ceiling for c in desc["caps_w"])
     cluster.run_until_complete(timeout_s=1_000_000)
 

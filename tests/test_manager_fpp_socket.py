@@ -45,7 +45,7 @@ def test_socket_caps_installed_per_socket():
     nm = cluster.manager.node_manager_for_rank(0)
     caps = nm.policy.describe()["caps_w"]
     assert len(caps) == 2  # dual socket
-    lo, hi = nm.socket_cap_range
+    lo, hi = nm.cap_range("socket")
     assert all(lo <= c <= hi for c in caps)
     cluster.run_until_complete(timeout_s=200_000)
 
@@ -78,21 +78,52 @@ def test_socket_policy_on_generic_platform_uses_rapl():
     cluster.run_until_complete(timeout_s=200_000)
 
 
-def test_node_manager_socket_helpers():
+def _ran_to_first_limit():
     cluster = socket_cluster()
+    cluster.submit(Jobspec(app="nqueens", nnodes=2, launcher="non-mpi"))
+    cluster.run_for(30.0)
     nm = cluster.manager.node_manager_for_rank(0)
-    assert nm.socket_count == 2
-    lo, hi = nm.socket_cap_range
-    assert (lo, hi) == (50.0, 250.0)
-    # Derivation fits the budget: 2 sockets + non-CPU estimate.
-    share = nm.derive_socket_share(700.0)
-    assert lo <= share <= hi
+    assert nm.node_limit_w is not None
+    return cluster, nm
 
 
-def test_socket_cap_clamped_into_range():
-    cluster = socket_cluster()
-    nm = cluster.manager.node_manager_for_rank(0)
-    nm.set_socket_cap(0, 10.0)  # below min -> clamped
-    assert cluster.nodes[0].cpu_domains[0].get_cap("socket-manager") == 50.0
-    nm.clear_socket_caps()
-    assert cluster.nodes[0].cpu_domains[0].get_cap("socket-manager") is None
+def test_socket_limit_decrease_keeps_learned_controller_state():
+    """One ``on_node_limit`` for every device class: only growing
+    headroom restarts the controllers; a share cut keeps what they
+    learned and clamps caps under the new ceiling."""
+    _cluster, nm = _ran_to_first_limit()
+    policy = nm.policy
+    controllers = list(policy.controllers)
+    controllers[0].converged = True
+    controllers[0].period_s = 12.0
+    cut = nm.node_limit_w - 100.0
+    nm.node_limit_w = cut
+    policy.on_node_limit(cut)
+    assert policy.controllers == controllers
+    assert policy.controllers[0].converged
+    assert policy.controllers[0].period_s == 12.0
+    ceiling = policy._ceiling()
+    assert all(c <= max(ceiling, 50.0) for c in policy.caps_w)
+
+    raised = cut + 200.0
+    nm.node_limit_w = raised
+    policy.on_node_limit(raised)
+    assert policy.controllers[0] is not controllers[0]
+    assert not policy.controllers[0].converged
+
+
+def test_socket_control_tick_counts_fft_runs_and_charges_manager():
+    from repro.telemetry import FPP_FFT_COST_S
+
+    cluster, nm = _ran_to_first_limit()
+    tel = cluster.telemetry_hub
+
+    def fft_runs():
+        return sum(s.value for s in tel.metrics.series_for("fpp_fft_runs_total"))
+
+    runs, charged = fft_runs(), tel.accountant.seconds("manager")
+    nm.policy._control_tick(None)
+    assert fft_runs() == runs + 2  # one FFT per socket
+    assert tel.accountant.seconds("manager") == pytest.approx(
+        charged + 2 * FPP_FFT_COST_S
+    )

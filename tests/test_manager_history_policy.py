@@ -64,7 +64,7 @@ def test_history_respects_share_ceiling():
     cluster.submit(Jobspec(app="gemm", nnodes=2, params={"work_scale": 2}))
     cluster.run_for(120.0)
     nm = cluster.manager.node_manager_for_rank(0)
-    ceiling = nm.derive_gpu_share(900.0)
+    ceiling = nm.derive_share("gpu", 900.0)
     caps = [g.get_cap("nvml") for g in cluster.nodes[0].gpu_domains]
     assert all(c <= ceiling + 1e-6 for c in caps)
     cluster.run_until_complete(timeout_s=2_000_000)

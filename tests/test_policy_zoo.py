@@ -82,12 +82,12 @@ def test_wrapper_contains_misconfigured_high_gain_pi():
     cluster = _run_wrapped_misconfigured_pi()
     tried_to_escape = 0
     for nm in cluster.manager.node_managers:
-        lo, hi = nm.gpu_cap_range
+        lo, hi = nm.cap_range("gpu")
         wrapper = nm.policy
         desc = wrapper.describe()
         assert desc["policy"] == "safe-pi"
         # Every cap the node actually installed stayed inside the box.
-        for cap in nm._last_gpu_caps:
+        for cap in nm._last_caps["gpu"]:
             if cap is not None:
                 assert lo <= cap <= hi
         # And the wrapper demonstrably had to intervene: the raw
