@@ -298,6 +298,16 @@ def _digest_matches(digest: str, expected: str) -> bool:
     return len(expected) >= 12 and digest.startswith(expected)
 
 
+def _crash_fraction(text: str) -> float:
+    """``--at``: a crash instant must fall inside the run, (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a fraction of the makespan in (0, 1]"
+        )
+    return value
+
+
 def _print_result(result, max_violations: int) -> None:
     print(result.summary())
     if not result.ok:
@@ -398,21 +408,18 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
     """Crash-recovery tooling: snapshot, restore, diff, fuzz, lint."""
     from repro.lifecycle.recovery import (
+        RECOVERY_TIER,
         crash_restore_setup,
-        fuzz_recovery,
-        run_scenario_with_recovery,
+        run_with_recovery,
     )
     from repro.lifecycle.snapshot import (
         SnapshotError,
         diff_snapshots,
         load_snapshot,
-        restore_cluster,
         save_snapshot,
         schema_lint,
-        snapshot_cluster,
-        wipe_cluster_state,
     )
-    from repro.simtest import generate_scenario, run_scenario
+    from repro.simtest import generate_scenario, run_batch, run_scenario
     from repro.simtest.scenario import GeneratorConfig, Scenario
 
     if args.schema_lint:
@@ -436,35 +443,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         print(f"{len(diffs)} difference(s)")
         return 1 if diffs else 0
 
-    def _pinned_scenario(seed: int) -> Scenario:
-        # The verify stage's reference workload: a 16-node generated
-        # scenario, so CI exercises a fixed topology while jobs/faults
-        # still vary with the seed.
-        return generate_scenario(
-            seed, GeneratorConfig(min_nodes=args.nodes, max_nodes=args.nodes)
-        )
-
-    if args.snapshot:
-        scenario = _pinned_scenario(args.seed)
-        base = run_scenario(scenario)
-        makespan = base.makespan_s if base.makespan_s else 1.0
-        crash_t = round(args.at * makespan, 3)
-        snapshots: list = []
-
-        def _setup(cluster, sim):
-            sim.schedule_at(
-                crash_t,
-                lambda: snapshots.append(snapshot_cluster(cluster, scenario)),
-            )
-
-        run_scenario(scenario, setup=_setup)
-        save_snapshot(snapshots[0], args.snapshot)
-        print(
-            f"wrote {args.snapshot}: {scenario.describe()} at t={crash_t}",
-            file=sys.stderr,
-        )
-        return 0
-
     if args.restore:
         def _refuse(reason) -> int:
             print(f"cannot restore: {args.restore}: {reason}", file=sys.stderr)
@@ -484,18 +462,16 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             return _refuse(f"malformed scenario or time: {exc!r}")
         base = run_scenario(scenario)
-
-        def _setup(cluster, sim):
-            def _recover():
-                wipe_cluster_state(cluster)
-                restore_cluster(cluster, snap)
-
-            sim.schedule_at(crash_t, _recover)
-
+        taken: list = []
         try:
-            recovered = run_scenario(scenario, setup=_setup)
+            recovered = run_scenario(
+                scenario,
+                setup=crash_restore_setup(crash_t, artifact=snap, taken=taken),
+            )
         except SnapshotError as exc:  # e.g. a policy the scenario does not deploy
             return _refuse(exc)
+        if not taken:
+            return _refuse(f"t={crash_t} is past the end of the run")
         match = base.digest == recovered.digest
         print(f"base      {base.digest}")
         print(f"recovered {recovered.digest}")
@@ -504,29 +480,35 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
 
     if args.fuzz:
         seeds = range(args.seed_start, args.seed_start + args.fuzz)
-        batch = fuzz_recovery(
+        report = run_batch(
             seeds,
+            shrink=False,
             progress=(
                 (lambda r: print(r.summary(), file=sys.stderr))
                 if args.verbose
                 else None
             ),
+            tier=RECOVERY_TIER,
         )
-        print(batch.summary())
-        return 0 if batch.ok else 1
+        print(report.summary())
+        return 0 if report.ok else 1
 
-    # Default (--check): one seeded crash → wipe → restore → continue
-    # equivalence run, snapshotting mid-run via the fuzz setup hook.
-    result = run_scenario_with_recovery(
-        _pinned_scenario(args.seed), crash_fraction=args.at
+    # --check (the default) and --snapshot: one seeded crash → wipe →
+    # restore → continue run of the verify stage's reference workload, a
+    # generated scenario at a fixed topology (jobs/faults vary with the
+    # seed).
+    scenario = generate_scenario(
+        args.seed, GeneratorConfig(min_nodes=args.nodes, max_nodes=args.nodes)
     )
-    print(result.summary())
-    if not result.equivalent:
+    taken = []
+    result = run_with_recovery(scenario, args.at, taken=taken)
+    if args.snapshot and taken:
+        save_snapshot(taken[0], args.snapshot)
         print(
-            f"digest split: base {result.base_digest} != "
-            f"recovered {result.recovered_digest}",
+            f"wrote {args.snapshot}: {scenario.describe()} at t={taken[0]['t']}",
             file=sys.stderr,
         )
+    _print_result(result, max_violations=5)
     return 0 if result.ok else 1
 
 
@@ -973,9 +955,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="pinned cluster size for --check/--snapshot (default: 16)",
     )
     lc.add_argument(
-        "--at", type=float, default=0.5, metavar="FRACTION",
-        help="crash instant as a fraction of the uninterrupted makespan "
-        "(default: 0.5)",
+        "--at", type=_crash_fraction, default=0.5, metavar="FRACTION",
+        help="crash instant as a fraction of the uninterrupted makespan, "
+        "in (0, 1] (default: 0.5)",
     )
     lc.add_argument(
         "--snapshot", metavar="PATH",

@@ -162,7 +162,6 @@ class FederatedSite:
         #: maintained purely from the event stream (the same path the
         #: cluster manager reacts on), never by peeking injector state.
         self._event_down_ranks: Dict[str, Set[int]] = {}
-        self._cluster_down: Dict[str, bool] = {}
         for spec in config.clusters:
             cluster_seed = streams.fork(f"federation/{spec.name}").seed
             self.clusters[spec.name] = PowerManagedCluster(
@@ -182,12 +181,12 @@ class FederatedSite:
                 hostname_prefix=spec.name,
             )
             self._event_down_ranks[spec.name] = set()
-            self._cluster_down[spec.name] = False
             self._watch_cluster(spec.name)
 
         #: Cluster-grain lifecycle, mirroring the node-grain registry
         #: inside each cluster manager (enroll → available here; a
-        #: whole-cluster outage degrades, recovery restores).
+        #: whole-cluster outage degrades, recovery restores). The one
+        #: liveness record: a cluster is down iff it is ``degraded``.
         self.lifecycle = LifecycleRegistry(
             sorted(self.clusters), "cluster", self.telemetry
         )
@@ -235,9 +234,8 @@ class FederatedSite:
         # Rank 0 hosts the root services and cannot crash, so "every
         # crashable rank down" is total management-plane loss.
         down = n >= 2 and len(self._event_down_ranks[name]) >= n - 1
-        if down == self._cluster_down[name]:
+        if down == self.cluster_is_down(name):
             return
-        self._cluster_down[name] = down
         tel = self.telemetry
         kind = "outage" if down else "recovery"
         self.lifecycle.transition(
@@ -255,15 +253,15 @@ class FederatedSite:
         self._rebalance(kind)
 
     def cluster_is_down(self, name: str) -> bool:
-        return self._cluster_down[name]
+        return self.lifecycle.state_of(name) == DEGRADED
 
     @property
     def down_clusters(self) -> List[str]:
-        return sorted(n for n, d in self._cluster_down.items() if d)
+        return self.lifecycle.in_state(DEGRADED)
 
     @property
     def live_clusters(self) -> List[str]:
-        return sorted(n for n, d in self._cluster_down.items() if not d)
+        return [n for n in self.lifecycle.entities() if not self.cluster_is_down(n)]
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -288,7 +286,7 @@ class FederatedSite:
         root._recompute()
 
     def _rebalance(self, reason: str = "epoch") -> None:
-        live = [n for n in sorted(self.clusters) if not self._cluster_down[n]]
+        live = self.live_clusters
         demands = {n: self.cluster_demand(n) for n in live}
         floors = {n: self.specs[n].min_share_w for n in live}
         ceilings = {n: self.specs[n].max_share_w for n in live}
@@ -298,7 +296,7 @@ class FederatedSite:
             self.assigned_shares[name] = shares[name]
             self._install_cluster_budget(name, shares[name])
         for name in sorted(self.clusters):
-            if self._cluster_down[name]:
+            if self.cluster_is_down(name):
                 # A dead cluster spends nothing; zeroing its installed
                 # budget keeps any stale bookkeeping harmless.
                 self._install_cluster_budget(name, 0.0)
@@ -453,11 +451,11 @@ class FederatedSite:
 
         Member clusters snapshot themselves through
         :func:`repro.lifecycle.snapshot.snapshot_site`, which nests
-        their artifacts next to this dict. ``event_down_ranks`` /
-        ``cluster_down`` must ride along: a restore that loses them
-        mid-flap re-counts the next ``broker.up`` against an empty dead
-        set, so the cluster is never declared recovered and the next
-        ``split_site_budget`` runs without it. ``expected_jobs`` keeps
+        their artifacts next to this dict. ``event_down_ranks`` and
+        ``lifecycle`` (the liveness record) must ride along: a restore
+        that loses them mid-flap re-counts the next ``broker.up``
+        against an empty dead set, so the cluster is never declared
+        recovered and the next ``split_site_budget`` runs without it. ``expected_jobs`` keeps
         :meth:`all_complete` from returning early after a restore with
         deferred arrivals still pending.
         """
@@ -475,7 +473,6 @@ class FederatedSite:
                 name: sorted(ranks)
                 for name, ranks in self._event_down_ranks.items()
             },
-            "cluster_down": dict(self._cluster_down),
             "lifecycle": self.lifecycle.snapshot(),
         }
 
@@ -510,9 +507,6 @@ class FederatedSite:
         self._event_down_ranks = {n: set() for n in self.clusters}
         for name, ranks in (state.get("event_down_ranks") or {}).items():
             self._event_down_ranks[str(name)] = {int(r) for r in ranks}
-        self._cluster_down = {n: False for n in self.clusters}
-        for name, down in (state.get("cluster_down") or {}).items():
-            self._cluster_down[str(name)] = bool(down)
         self.lifecycle.restore(state.get("lifecycle"))
 
     # ------------------------------------------------------------------
@@ -528,7 +522,7 @@ class FederatedSite:
                     "n_nodes": self.specs[name].n_nodes,
                     "assigned_w": self.assigned_shares.get(name, 0.0),
                     "demand_w": self.cluster_demand(name),
-                    "down": self._cluster_down[name],
+                    "down": self.cluster_is_down(name),
                 }
                 for name in sorted(self.clusters)
             },

@@ -8,8 +8,8 @@ Three pieces (see docs/lifecycle.md):
 * :mod:`repro.lifecycle.snapshot` — the schema-versioned JSON artifact
   carrying manager + monitor + policy + federation state across a
   manager crash;
-* :mod:`repro.lifecycle.recovery` — the crash-at-random-tick fuzz
-  proving restore-equivalence against uninterrupted-run digests.
+* :mod:`repro.lifecycle.recovery` — the one crash → restore hook, the
+  restore-equivalence oracle built on it and its campaign tier.
 """
 
 from repro.lifecycle.machine import (
@@ -51,19 +51,17 @@ __all__ = [
     "TRANSITIONS",
     "LifecycleError",
     "LifecycleRegistry",
-    "RecoveryBatchResult",
-    "RecoveryResult",
+    "RECOVERY_TIER",
     "SCHEMA_FIELDS",
     "SCHEMA_FINGERPRINTS",
     "SCHEMA_VERSION",
     "SnapshotError",
     "crash_restore_setup",
     "diff_snapshots",
-    "fuzz_recovery",
     "load_snapshot",
     "restore_cluster",
     "restore_site",
-    "run_scenario_with_recovery",
+    "run_with_recovery",
     "save_snapshot",
     "schema_fingerprint",
     "schema_lint",
@@ -73,16 +71,10 @@ __all__ = [
     "wipe_site_state",
 ]
 
-#: Recovery re-exports resolve lazily (PEP 562): the fuzz harness
-#: imports the simtest stack, which imports the managers, which import
-#: this package — an eager import here would be circular.
-_RECOVERY_EXPORTS = (
-    "RecoveryBatchResult",
-    "RecoveryResult",
-    "crash_restore_setup",
-    "fuzz_recovery",
-    "run_scenario_with_recovery",
-)
+#: Recovery re-exports resolve lazily (PEP 562): the oracle imports
+#: the simtest stack, which imports the managers, which import this
+#: package — an eager import here would be circular.
+_RECOVERY_EXPORTS = ("RECOVERY_TIER", "crash_restore_setup", "run_with_recovery")
 
 
 def __getattr__(name):

@@ -1,35 +1,34 @@
-"""Crash-at-random-tick recovery fuzzing.
+"""Crash recovery on one path: the restore-equivalence oracle.
 
 The snapshot artifact's contract is *equivalence*: a manager that
 crashes mid-run and is restored from its artifact must produce exactly
 the telemetry the uninterrupted run would have. This module turns that
-contract into an executable oracle:
+contract into an executable oracle, in three pieces:
 
-1. run a seeded scenario uninterrupted and record its digest (the
-   simtest harness's canonical-JSON SHA-256);
-2. re-run the same scenario, but at a chosen simulated instant take a
-   snapshot, JSON-round-trip it (catching unserialisable state),
-   **wipe** every component to its amnesiac fresh-boot state, then
-   restore from the round-tripped artifact;
-3. the remaining run must land on the *same digest* — any state the
-   artifact fails to carry (a PI integral, a dead-rank set, a ring
-   buffer, federation bookkeeping) shifts caps or telemetry flags and
-   the digests split.
+* :func:`crash_restore_setup` — the one harness hook: at the crash
+  instant, snapshot → JSON round-trip (catching unserialisable state)
+  → **wipe** every component to its amnesiac fresh-boot state →
+  restore. ``repro lifecycle --snapshot`` and ``--restore`` use it too.
+* :func:`run_with_recovery` — runs a scenario uninterrupted and again
+  with the crash, and returns the crashed run's
+  :class:`~repro.simtest.harness.SimtestResult`: any state the artifact
+  fails to carry (a PI integral, a dead-rank set, a ring buffer)
+  shifts caps or telemetry flags, the digests split, and the result
+  gains a ``restore_equivalence`` violation.
+* :data:`RECOVERY_TIER` — the oracle as a campaign tier, so
+  ``repro lifecycle --fuzz`` is :func:`~repro.simtest.fuzzer.run_batch`
+  like every other fuzz command. Crash instants are drawn per seed from
+  a dedicated RNG substream (fractions of the uninterrupted makespan),
+  so batches are replayable.
 
 The wipe step is what gives the oracle teeth: without it, state left
-behind in live objects would mask snapshot gaps. Crash instants are
-drawn per seed from a dedicated RNG substream (fractions of the
-uninterrupted makespan), so ``fuzz_recovery`` batches are replayable.
-
-Failures feed the existing shrinker workflow: a diverging seed is a
-scenario plus a crash fraction, both printable from the batch result.
+behind in live objects would mask snapshot gaps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.lifecycle.snapshot import (
     restore_cluster,
@@ -37,8 +36,10 @@ from repro.lifecycle.snapshot import (
     wipe_cluster_state,
 )
 from repro.simkernel.rng import RandomStreams
+from repro.simtest.fuzzer import Tier
 from repro.simtest.harness import SimtestResult, run_scenario
-from repro.simtest.scenario import GeneratorConfig, Scenario, generate_scenario
+from repro.simtest.invariants import Violation
+from repro.simtest.scenario import Scenario, generate_scenario
 
 #: Crash instants are drawn from this substream, one per seed —
 #: independent of every scenario-generation stream, so adding recovery
@@ -50,141 +51,95 @@ CRASH_STREAM = "lifecycle/crash"
 CRASH_FRACTION_RANGE = (0.15, 0.85)
 
 
-@dataclass
-class RecoveryResult:
-    """Outcome of one crash → restore → continue comparison."""
-
-    scenario: Scenario
-    crash_t: float
-    base_digest: str
-    recovered_digest: str
-    base: SimtestResult
-    recovered: SimtestResult
-
-    @property
-    def equivalent(self) -> bool:
-        return self.base_digest == self.recovered_digest
-
-    @property
-    def ok(self) -> bool:
-        return self.equivalent and self.base.ok and self.recovered.ok
-
-    def summary(self) -> str:
-        verdict = "OK  " if self.ok else "FAIL"
-        detail = ""
-        if not self.equivalent:
-            detail = (
-                f" digest split {self.base_digest[:12]} != "
-                f"{self.recovered_digest[:12]}"
-            )
-        elif not self.ok:
-            bad = self.base if not self.base.ok else self.recovered
-            detail = f" [{bad.violations[0].invariant}] {bad.violations[0].message}"
-        return (
-            f"{verdict} {self.scenario.describe()} "
-            f"crash_t={self.crash_t:.3f}{detail}"
-        )
-
-
-@dataclass
-class RecoveryBatchResult:
-    """Outcome of a multi-seed recovery fuzz batch."""
-
-    results: List[RecoveryResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    @property
-    def failures(self) -> List[RecoveryResult]:
-        return [r for r in self.results if not r.ok]
-
-    def summary(self) -> str:
-        n_fail = len(self.failures)
-        return (
-            f"{len(self.results)} seeds, "
-            f"{len(self.results) - n_fail} equivalent, {n_fail} diverged"
-        )
-
-
-def crash_restore_setup(crash_t: float, snapshots: Optional[list] = None):
+def crash_restore_setup(
+    crash_t: float,
+    scenario: Optional[Scenario] = None,
+    artifact: Optional[dict] = None,
+    taken: Optional[list] = None,
+):
     """Build a harness ``setup`` hook that crashes the manager at ``crash_t``.
 
-    At the instant: snapshot → JSON round-trip → amnesiac wipe →
-    restore. ``snapshots``, when given, collects the artifact (the CLI
-    uses this to also write it to disk).
+    At the instant: snapshot (embedding ``scenario``) → JSON round-trip
+    → amnesiac wipe → restore. With ``artifact`` the hook restores from
+    it instead of its own snapshot. ``taken``, when given, receives the
+    artifact the crash restored from — so an empty ``taken`` after the
+    run means the crash instant was never reached.
     """
 
     def _setup(cluster, sim) -> None:
         def _crash_and_recover() -> None:
-            snap = snapshot_cluster(cluster)
-            blob = json.dumps(snap, sort_keys=True)
-            if snapshots is not None:
-                snapshots.append(snap)
+            snap = artifact
+            if snap is None:
+                blob = json.dumps(snapshot_cluster(cluster, scenario), sort_keys=True)
+                snap = json.loads(blob)
+            if taken is not None:
+                taken.append(snap)
             wipe_cluster_state(cluster)
-            restore_cluster(cluster, json.loads(blob))
+            restore_cluster(cluster, snap)
 
         sim.schedule_at(crash_t, _crash_and_recover)
 
     return _setup
 
 
-def run_scenario_with_recovery(
-    scenario: Scenario,
-    crash_t: Optional[float] = None,
-    crash_fraction: Optional[float] = None,
-    base: Optional[SimtestResult] = None,
-    **harness_kwargs,
-) -> RecoveryResult:
-    """Compare an uninterrupted run against a crash-at-``crash_t`` run.
+def run_with_recovery(
+    scenario: Scenario, crash_fraction: float, taken: Optional[list] = None
+) -> SimtestResult:
+    """Run ``scenario`` crashed at ``crash_fraction`` of its makespan.
 
-    Exactly one of ``crash_t`` (absolute simulated seconds) or
-    ``crash_fraction`` (of the uninterrupted makespan) must be given.
-    ``base`` reuses an already-computed uninterrupted result.
+    Returns the crashed run's result. It gains a ``crash_unreached``
+    violation when the run ended before the crash instant, and a
+    ``restore_equivalence`` violation (both digests in its details)
+    when it does not land on the uninterrupted run's digest. ``taken``
+    collects the artifact, as in :func:`crash_restore_setup`.
     """
-    if (crash_t is None) == (crash_fraction is None):
-        raise ValueError("give exactly one of crash_t / crash_fraction")
-    if base is None:
-        base = run_scenario(scenario, **harness_kwargs)
-    if crash_t is None:
-        makespan = base.makespan_s if base.makespan_s else 1.0
-        crash_t = round(float(crash_fraction) * makespan, 3)
-    recovered = run_scenario(
-        scenario, setup=crash_restore_setup(crash_t), **harness_kwargs
+    base = run_scenario(scenario)
+    crash_t = round(float(crash_fraction) * (base.makespan_s or 1.0), 3)
+    taken = [] if taken is None else taken
+    result = run_scenario(
+        scenario, setup=crash_restore_setup(crash_t, scenario, taken=taken)
     )
-    return RecoveryResult(
-        scenario=scenario,
-        crash_t=crash_t,
-        base_digest=base.digest,
-        recovered_digest=recovered.digest,
-        base=base,
-        recovered=recovered,
-    )
-
-
-def fuzz_recovery(
-    seeds,
-    cfg: Optional[GeneratorConfig] = None,
-    progress=None,
-    **harness_kwargs,
-) -> RecoveryBatchResult:
-    """Crash-restore equivalence over a batch of generated scenarios.
-
-    One crash instant per seed, drawn from :data:`CRASH_STREAM` as a
-    fraction of that seed's uninterrupted makespan. ``progress``, when
-    given, receives each :class:`RecoveryResult` as it lands.
-    """
-    batch = RecoveryBatchResult()
-    lo, hi = CRASH_FRACTION_RANGE
-    for seed in seeds:
-        scenario = generate_scenario(seed, cfg)
-        rng = RandomStreams(seed=int(seed)).get(CRASH_STREAM)
-        fraction = lo + float(rng.random()) * (hi - lo)
-        result = run_scenario_with_recovery(
-            scenario, crash_fraction=fraction, **harness_kwargs
+    if not taken:
+        result.violations.append(
+            Violation(
+                invariant="crash_unreached", t=crash_t,
+                message=(
+                    f"crash at t={crash_t:.3f} never fired: the run ended "
+                    "first, so nothing was restored"
+                ),
+                details={"crash_t": crash_t},
+            )
         )
-        batch.results.append(result)
-        if progress is not None:
-            progress(result)
-    return batch
+    elif result.digest != base.digest:
+        result.violations.append(
+            Violation(
+                invariant="restore_equivalence", t=crash_t,
+                message=(
+                    f"digest split: base {base.digest} != "
+                    f"recovered {result.digest}"
+                ),
+                details={
+                    "crash_t": crash_t,
+                    "base_digest": base.digest,
+                    "recovered_digest": result.digest,
+                },
+            )
+        )
+    return result
+
+
+def _run_seeded_crash(scenario: Scenario) -> SimtestResult:
+    """:func:`run_with_recovery` at the seed's :data:`CRASH_STREAM` draw."""
+    lo, hi = CRASH_FRACTION_RANGE
+    rng = RandomStreams(seed=int(scenario.seed)).get(CRASH_STREAM)
+    return run_with_recovery(scenario, lo + float(rng.random()) * (hi - lo))
+
+
+#: The crash-recovery tier (``repro lifecycle --fuzz``). Unshrunk: a
+#: failing seed is replayed whole, at the same crash instant.
+RECOVERY_TIER = Tier(
+    name="lifecycle",
+    scenario_cls=Scenario,
+    generate=generate_scenario,
+    run=_run_seeded_crash,
+)

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional
 #: Bump when any SCHEMA_FIELDS section changes, and append the new
 #: fingerprint to SCHEMA_FINGERPRINTS (keep the old ones: they document
 #: which key-sets historical artifacts carry).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Exhaustive key-set of every snapshot section. Producers are checked
 #: against this at snapshot time (exact match); consumers stay lenient
@@ -78,7 +78,6 @@ SCHEMA_FIELDS: Dict[str, tuple] = {
         "budget_log",
         "expected_jobs",
         "event_down_ranks",
-        "cluster_down",
         "lifecycle",
     ),
 }
@@ -91,6 +90,9 @@ SCHEMA_FINGERPRINTS: Dict[int, str] = {
     # v2: node_manager drops the write-only non_*_est_w EMAs and the
     # 64-entry ``recent`` tuple history.
     2: "603590bff71e21d7b345f5fbe6b89035b9dbf96a563a1caf20e2d03864570921",
+    # v3: site drops ``cluster_down``; the cluster-grain ``lifecycle``
+    # (degraded = down) is the one liveness record.
+    3: "518e1b312b1d7f6c89f326be66869dd7596fa11bbc6e86586f1e380300b410c6",
 }
 
 

@@ -211,7 +211,8 @@ class NodeManagerModule(Module):
 
     def on_unload(self) -> None:
         self.policy.detach()
-        self.clear_caps("gpu")
+        for domain in CAP_CLASSES:
+            self.clear_caps(domain)
 
     # ------------------------------------------------------------------
     # Hardware accessors used by policies (one per dial, keyed by domain)
@@ -389,7 +390,8 @@ class NodeManagerModule(Module):
         self.current_jobid = None
         self.node_limit_w = None
         self._clear_estimates()
-        self.clear_caps("gpu")
+        for domain in CAP_CLASSES:
+            self.clear_caps(domain)
         self.policy.detach()
         self.policy = self.policy_factory()
         self.policy.attach(self)

@@ -28,10 +28,10 @@ FoundationDB / TigerBeetle simulation-testing harnesses:
   (:func:`~repro.simtest.shrink.write_reproducer` /
   :func:`~repro.simtest.shrink.load_reproducer`) for every tier.
 * :mod:`~repro.simtest.fuzzer` — the batch driver behind ``repro
-  simtest``, ``repro tenants`` and ``repro federate``: a
-  :class:`~repro.simtest.fuzzer.Tier` says how a seed becomes a
-  scenario and a checked run; also behind the ``simtest`` pytest
-  marker.
+  simtest``, ``repro tenants``, ``repro federate`` and ``repro
+  lifecycle --fuzz``: a :class:`~repro.simtest.fuzzer.Tier` says how
+  a seed becomes a scenario and a checked run; also behind the
+  ``simtest`` pytest marker.
 * :mod:`~repro.simtest.federation` — the site tier: federated scenarios
   and their harness, driven through the same core.
 

@@ -1,11 +1,14 @@
 """Batch driver: N seeds in, violations (shrunk to reproducers) out.
 
-One driver for every fuzz tier — ``repro simtest``, ``repro tenants``
-and ``repro federate`` — and the ``simtest``/``federation`` pytest
-markers. A :class:`Tier` names how a seed becomes a scenario and a
-checked run. Each seed is fully independent — its own scenario, its
-own cluster or site, its own checker instances — so a batch is just a
-loop, and any seed from a batch replays alone with
+One driver for every fuzz tier — ``repro simtest``, ``repro tenants``,
+``repro federate`` and ``repro lifecycle --fuzz`` — and the
+``simtest``/``federation`` pytest markers. A :class:`Tier` names how a
+seed becomes a scenario and a checked run: :data:`SINGLE_TIER` here,
+``FEDERATED_TIER`` beside the site harness and ``RECOVERY_TIER`` (the
+crash-restore oracle) in :mod:`repro.lifecycle.recovery`, which
+imports this module. Each seed is fully independent — its own
+scenario, its own cluster or site, its own checker instances — so a
+batch is just a loop, and any seed from a batch replays alone with
 :meth:`Tier.run_seed`.
 """
 

@@ -2,9 +2,11 @@
 
 The artifact's contract — snapshot → wipe → restore at *any* instant
 leaves the remaining run byte-identical to never having crashed — is
-property-tested here over generated scenarios (cluster tier) and a
-deterministic mid-outage site restore (federated tier), plus unit
-coverage of the ``lifecycle`` simtest invariant that guards the books.
+property-tested here over generated scenarios (cluster tier, through
+``run_with_recovery`` and ``RECOVERY_TIER``) and a deterministic
+mid-outage site restore (federated tier), plus unit coverage of the
+``lifecycle`` simtest invariant that guards the books. A planted
+restore bug shows the tier can fail.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from hypothesis import strategies as st
 from repro.cluster import PowerManagedCluster
 from repro.flux.jobspec import Jobspec
 from repro.lifecycle.machine import MAINTENANCE, RETIRED
-from repro.lifecycle.recovery import fuzz_recovery, run_scenario_with_recovery
+from repro.lifecycle import recovery
+from repro.lifecycle.recovery import RECOVERY_TIER, run_with_recovery
 from repro.lifecycle.snapshot import (
     restore_site,
     snapshot_site,
     wipe_site_state,
 )
 from repro.manager.cluster_manager import ManagerConfig
+from repro.simtest import run_batch
 from repro.simtest.federation.harness import run_federated_scenario
 from repro.simtest.federation.scenario import ClusterScenario, FederatedScenario
 from repro.simtest.harness import SimtestContext, run_scenario
@@ -49,16 +53,41 @@ SMALL = GeneratorConfig(max_nodes=8, max_jobs=3)
     fraction=st.floats(min_value=0.15, max_value=0.85),
 )
 def test_crash_restore_lands_on_the_uninterrupted_digest(seed, fraction):
-    result = run_scenario_with_recovery(
-        generate_scenario(seed, SMALL), crash_fraction=fraction
-    )
+    result = run_with_recovery(generate_scenario(seed, SMALL), fraction)
     assert result.ok, result.summary()
 
 
 def test_fuzz_batch_reports_equivalence():
-    batch = fuzz_recovery(range(3), cfg=SMALL)
-    assert batch.ok, "\n".join(r.summary() for r in batch.failures)
-    assert batch.summary() == "3 seeds, 3 equivalent, 0 diverged"
+    report = run_batch(range(3), config=SMALL, tier=RECOVERY_TIER, shrink=False)
+    assert report.ok, report.summary()
+    assert report.summary() == "lifecycle: 3 scenario(s), 3 ok, 0 violating"
+
+
+def test_tier_reports_a_planted_restore_bug(monkeypatch):
+    """A restore that loses the manager's books must fail the tier."""
+    real_restore = recovery.restore_cluster
+
+    def _drop_manager(cluster, snap):
+        real_restore(cluster, {k: v for k, v in snap.items() if k != "manager"})
+
+    monkeypatch.setattr(recovery, "restore_cluster", _drop_manager)
+    report = run_batch([0], tier=RECOVERY_TIER, shrink=False)
+    assert not report.ok
+    violation = report.results[0].violations[-1]
+    assert violation.invariant == "restore_equivalence"
+    base, recovered = (
+        violation.details["base_digest"], violation.details["recovered_digest"]
+    )
+    assert base != recovered
+    assert base in violation.message and recovered in violation.message
+    assert recovered == report.results[0].digest
+    assert "[restore_equivalence]" in report.summary()
+
+
+def test_crash_past_the_end_of_the_run_is_a_violation():
+    result = run_with_recovery(generate_scenario(0, SMALL), 3.0)
+    assert [v.invariant for v in result.violations] == ["crash_unreached"]
+    assert "never fired" in result.violations[0].message
 
 
 # ----------------------------------------------------------------------

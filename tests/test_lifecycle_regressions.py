@@ -32,6 +32,7 @@ from repro.lifecycle.snapshot import (
 )
 from repro.cluster import PowerManagedCluster
 from repro.manager.cluster_manager import ManagerConfig
+from repro.serving import ClusterRegistry, PowerService
 from repro.simtest.federation.harness import run_federated_scenario
 from repro.simtest.federation.scenario import ClusterScenario, FederatedScenario
 from repro.simtest.scenario import JobEntry
@@ -180,10 +181,20 @@ def test_site_restore_mid_outage_preserves_flap_bookkeeping():
     assert site.cluster_is_down("east")
 
     snap = json.loads(json.dumps(snapshot_site(site)))
+    # One liveness record: the cluster-grain lifecycle says who is down.
+    assert "cluster_down" not in snap["site"]
+    assert snap["site"]["lifecycle"]["states"]["east"] == DEGRADED
     wipe_site_state(site)
     assert not site.cluster_is_down("east")  # the wipe is amnesiac
     restore_site(site, snap)
     assert site.cluster_is_down("east")
+    assert site.down_clusters == ["east"] and site.live_clusters == ["west"]
+    power = PowerService(ClusterRegistry.from_site(site)).handle(
+        "GET", "/v1/site/power"
+    )
+    assert {n: c["down"] for n, c in power.body["clusters"].items()} == {
+        "east": True, "west": False,
+    }
     assert site._event_down_ranks["east"] == {1}
     assert site.lifecycle.state_of("east") == DEGRADED
 
@@ -199,15 +210,15 @@ def test_site_restore_mid_outage_preserves_flap_bookkeeping():
 def test_naive_site_restore_never_declares_recovery():
     """The pre-fix failure at the site tier.
 
-    Dropping ``event_down_ranks``/``cluster_down``/``lifecycle`` from
-    the artifact makes the restored site re-count the eventual
+    Dropping ``event_down_ranks`` and ``lifecycle`` (the site's one
+    liveness record) from the artifact makes the restored site re-count the eventual
     ``broker.up`` against an empty dead set: the liveness edge never
     fires, so no recovery re-split ever happens.
     """
     site = _flap_site(outage_duration_s=18.0)
     site.run_for(14.0)
     snap = json.loads(json.dumps(snapshot_site(site)))
-    for key in ("event_down_ranks", "cluster_down", "lifecycle"):
+    for key in ("event_down_ranks", "lifecycle"):
         del snap["site"][key]
     wipe_site_state(site)
     restore_site(site, snap)

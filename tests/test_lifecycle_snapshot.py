@@ -305,3 +305,39 @@ def test_cli_diff_validates_both_envelopes(tmp_path, capsys):
 
     assert main(["lifecycle", "--diff", good, good]) == 0
     assert capsys.readouterr().out.strip() == "0 difference(s)"
+
+
+@pytest.mark.parametrize("at", ["3.0", "-0.5", "0", "1.5", "nan"])
+def test_cli_refuses_a_crash_fraction_outside_the_run(
+    tmp_path, capsys, no_runs, at
+):
+    from repro.cli import main
+
+    path = tmp_path / "snap.json"
+    for argv in (
+        ["lifecycle", "--at", at, "--snapshot", str(path)],
+        ["lifecycle", "--seed", "1", "--nodes", "4", "--at", at],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "(0, 1]" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_cli_snapshot_then_restore_round_trips(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "snap.json"
+    argv = ["lifecycle", "--seed", "8", "--nodes", "2", "--at", "1"]
+    assert main(argv + ["--snapshot", str(path)]) == 0
+    assert f"wrote {path}: seed=8 " in capsys.readouterr().err
+    snap = load_snapshot(str(path), kind="cluster")
+    assert Scenario.from_dict(snap["scenario"]).seed == 8
+
+    assert main(["lifecycle", "--restore", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("restore equivalence: OK\n")
+
+    late = _write(tmp_path / "late.json", dict(snap, t=1e9))
+    assert main(["lifecycle", "--restore", late]) == 2
+    assert "is past the end of the run" in capsys.readouterr().err

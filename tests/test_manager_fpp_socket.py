@@ -127,3 +127,20 @@ def test_socket_control_tick_counts_fft_runs_and_charges_manager():
     assert tel.accountant.seconds("manager") == pytest.approx(
         charged + 2 * FPP_FFT_COST_S
     )
+
+
+def test_socket_caps_cleared_when_the_job_leaves():
+    """A departed job's socket caps must not outlive it on an idle node
+    (the next job's policy may not cap sockets at all)."""
+    cluster = socket_cluster()
+    job = cluster.submit(
+        Jobspec(app="nqueens", nnodes=2, launcher="non-mpi",
+                params={"work_scale": 0.2})
+    )
+    cluster.run_for(30.0)
+    assert cluster.nodes[0].cpu_domains[0].get_cap("socket-manager") is not None
+    cluster.run_until_complete(timeout_s=200_000)
+    assert cluster.instance.app_runs[job.jobid].finished
+    cluster.run_for(100.0)
+    for node in cluster.nodes:
+        assert [d.effective_cap_w for d in node.cpu_domains] == [None, None]

@@ -204,7 +204,7 @@ def test_snapshot_carries_no_write_only_tracker_state(lassen4):
     assert state["recent_non_gpu"] and state["recent_non_cpu"]
     for gone in ("recent", "non_gpu_est_w", "non_cpu_est_w"):
         assert gone not in state
-    assert SCHEMA_VERSION == 2
+    assert SCHEMA_VERSION >= 2  # the version that dropped them
     assert schema_lint() == []
 
 

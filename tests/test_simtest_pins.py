@@ -5,7 +5,7 @@ cannot notice a change that shifts both runs alike. These pin the
 digests themselves: one seed per campaign shape of the single-cluster
 tier (plain, rank faults, serving, tenancy with admission), one
 tenant-forced seed, two federated seeds (one with a whole-cluster
-outage) and one crash-restore base digest. A changed pin means the
+outage) and one crash-restore digest. A changed pin means the
 scenario draw, the run loop or the digest layout changed.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.lifecycle.recovery import run_scenario_with_recovery
+from repro.lifecycle.recovery import RECOVERY_TIER, run_with_recovery
 from repro.simtest import SINGLE_TIER, GeneratorConfig, run_batch
 from repro.simtest.federation import FEDERATED_TIER
 
@@ -39,7 +39,9 @@ FEDERATED_PINS = {
     2: ("0deb95b4c18389fa2c4d7b5d6619af09e790f18f79c31b101e7d53461d5d3366", 16),
 }
 
-#: ``repro lifecycle --seed 1 --nodes 16``: base (and recovered) digest.
+#: ``repro lifecycle --seed 1 --nodes 16``: the crashed run's digest
+#: (equal to the uninterrupted run's, or the result carries a
+#: ``restore_equivalence`` violation).
 RECOVERY_PIN = "6034ed5678e6c71825fa68b7e578ff861d2ea98c40348344e163bb283b30bf3e"
 
 
@@ -78,16 +80,18 @@ def test_federated_pins_cover_an_outage():
 
 def test_recovery_base_digest_is_pinned():
     scenario = SINGLE_TIER.generate(1, GeneratorConfig(min_nodes=16, max_nodes=16))
-    result = run_scenario_with_recovery(scenario, crash_fraction=0.5)
-    assert result.ok, result.summary()
-    assert result.base_digest == RECOVERY_PIN
-    assert result.recovered_digest == RECOVERY_PIN
+    result = run_with_recovery(scenario, 0.5)
+    assert result.violations == [], result.summary()
+    assert result.digest == RECOVERY_PIN
 
 
 def test_batch_summary_labels_follow_the_tier():
     assert run_batch([8]).summary() == "simtest: 1 scenario(s), 1 ok, 0 violating"
     assert run_batch([4], tier=FEDERATED_TIER).summary() == (
         "federate: 1 scenario(s), 1 ok, 0 violating"
+    )
+    assert run_batch([8], tier=RECOVERY_TIER, shrink=False).summary() == (
+        "lifecycle: 1 scenario(s), 1 ok, 0 violating"
     )
 
 

@@ -125,6 +125,13 @@ for stage in $STAGES; do
         lifecycle)
             banner "lifecycle: snapshot schema lint"
             python -m repro.cli lifecycle --schema-lint
+            banner "lifecycle: --at outside (0, 1] is refused with exit 2"
+            rc=0
+            python -m repro.cli lifecycle --at 1.5 2>/dev/null || rc=$?
+            if [ "$rc" -ne 2 ]; then
+                echo "lifecycle --at 1.5 exited $rc, expected 2" >&2
+                exit 1
+            fi
             banner "lifecycle: crash-restore digest equivalence (seed $REPRO_LIFECYCLE_SEED, 16 nodes)"
             python -m repro.cli lifecycle --seed "$REPRO_LIFECYCLE_SEED" --nodes 16
             banner "lifecycle: crash-recovery fuzz (10 seeds)"
