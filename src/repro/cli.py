@@ -414,6 +414,7 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
     )
     from repro.lifecycle.snapshot import (
         SnapshotError,
+        check_policy,
         diff_snapshots,
         load_snapshot,
         save_snapshot,
@@ -461,15 +462,17 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
             crash_t = float(snap["t"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             return _refuse(f"malformed scenario or time: {exc!r}")
+        if scenario.policy:
+            try:
+                check_policy(snap, scenario.policy)
+            except SnapshotError as exc:
+                return _refuse(exc)
         base = run_scenario(scenario)
         taken: list = []
-        try:
-            recovered = run_scenario(
-                scenario,
-                setup=crash_restore_setup(crash_t, artifact=snap, taken=taken),
-            )
-        except SnapshotError as exc:  # e.g. a policy the scenario does not deploy
-            return _refuse(exc)
+        recovered = run_scenario(
+            scenario,
+            setup=crash_restore_setup(crash_t, artifact=snap, taken=taken),
+        )
         if not taken:
             return _refuse(f"t={crash_t} is past the end of the run")
         match = base.digest == recovered.digest

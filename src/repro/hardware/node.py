@@ -111,11 +111,17 @@ class Node:
         #: this node (domains and OPAL report in). Sampling caches key
         #: on it — equal revisions guarantee identical observable power.
         self.power_rev = 0
+        #: ``total_power_w`` memo: the revision it was computed at and
+        #: its value. Equal revisions guarantee equal power, so a hit
+        #: returns exactly what a recomputation would.
+        self._power_memo_rev = -1
+        self._power_memo_w = 0.0
         #: Columnar sink, set by ColumnarNodeStore.adopt(); while set,
         #: every revision bump also bumps the store's global revision.
         self._col_sink = None
         for dom in self._domain_list:
             dom._owner = self
+        self._idle_power_w = sum(d.spec.idle_w for d in self._domain_list)
 
         cpus = self._by_kind.get(DomainKind.CPU, [])
         gpus = self._by_kind.get(DomainKind.GPU, [])
@@ -208,15 +214,23 @@ class Node:
 
         On Lassen, if the post-GPU-cap sum still exceeds an installed
         node cap, OPAL throttles the sockets; the node then draws the
-        cap. Elsewhere this equals :meth:`raw_power_w`.
+        cap. Elsewhere this equals :meth:`raw_power_w`. Memoized on
+        :attr:`power_rev`: every demand, cap and OPAL node-cap change
+        bumps it, and nothing else moves the result.
         """
-        raw = self.raw_power_w()
+        rev = self.power_rev
+        if self._power_memo_rev == rev:
+            return self._power_memo_w
+        watts = self.raw_power_w()
         if self.opal is not None and self.opal.node_cap_w is not None:
-            return min(raw, max(self.opal.node_cap_w, self.idle_power_w()))
-        return raw
+            watts = min(watts, max(self.opal.node_cap_w, self._idle_power_w))
+        self._power_memo_rev = rev
+        self._power_memo_w = watts
+        return watts
 
     def idle_power_w(self) -> float:
-        return sum(d.spec.idle_w for d in self.domains.values())
+        """Sum of every domain's idle floor (domains are fixed)."""
+        return self._idle_power_w
 
     # ------------------------------------------------------------------
     # Demand (set by running workloads)

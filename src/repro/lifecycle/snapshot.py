@@ -235,6 +235,19 @@ def _check_envelope(snap: Mapping[str, Any], kind: Optional[str] = None) -> None
         )
 
 
+def check_policy(snap: Mapping[str, Any], deployed: str) -> None:
+    """Refuse a cluster artifact whose manager ran another policy than
+    ``deployed``."""
+    manager_state = snap.get("manager")
+    if manager_state is None:
+        return
+    snap_policy = (manager_state.get("config") or {}).get("policy")
+    if snap_policy is not None and snap_policy != deployed:
+        raise SnapshotError(
+            f"snapshot policy {snap_policy!r} != deployed {deployed!r}"
+        )
+
+
 def restore_cluster(cluster, snap: Mapping[str, Any]) -> None:
     """Rehydrate a cluster's live management modules from an envelope.
 
@@ -249,13 +262,7 @@ def restore_cluster(cluster, snap: Mapping[str, Any]) -> None:
     manager_state = snap.get("manager")
     if cluster.manager is not None:
         root = cluster.manager.cluster
-        if manager_state is not None:
-            snap_policy = (manager_state.get("config") or {}).get("policy")
-            if snap_policy is not None and snap_policy != root.config.policy:
-                raise SnapshotError(
-                    f"snapshot policy {snap_policy!r} != deployed "
-                    f"{root.config.policy!r}"
-                )
+        check_policy(snap, root.config.policy)
         if _module_live(root.broker, root):
             root.restore_state(dict(manager_state or {}))
         saved_nms = snap.get("node_managers") or {}

@@ -65,14 +65,25 @@ class FPPParams:
 
 
 class FPPGpuController:
-    """Per-GPU FPP state machine: buffer, period history, cap decisions."""
+    """Per-GPU FPP state machine: buffer, period history, cap decisions.
+
+    The 30 s rolling period refresh is evaluated on read: a refresh
+    records the buffer prefix length it fired at, and :attr:`period_s`
+    runs the FFT over that prefix when something reads it. The buffer
+    only grows between resets, so the prefix holds exactly the samples
+    an eager refresh would have seen. Control ticks overwrite the value
+    with a fresh estimate before deciding, so in a run that never reads
+    :meth:`describe` or :meth:`snapshot` no rolling FFT executes.
+    """
 
     def __init__(self, index: int, params: FPPParams, sample_dt_s: float) -> None:
         self.index = index
         self.params = params
         self.sample_dt_s = float(sample_dt_s)
         self.buffer: List[float] = []
-        self.period_s: Optional[float] = None
+        self._period_s: Optional[float] = None
+        #: Buffer prefix length of the rolling refresh not yet evaluated.
+        self._pending_n: Optional[int] = None
         self.t_prev: Optional[float] = None
         self.cap_prev: Optional[float] = None
         self.converged = False
@@ -82,17 +93,50 @@ class FPPGpuController:
     # ------------------------------------------------------------------
     # FFT-GET-PERIOD
     # ------------------------------------------------------------------
+    @property
+    def period_s(self) -> Optional[float]:
+        """Latest period estimate (evaluates a pending 30 s refresh)."""
+        self._settle()
+        return self._period_s
+
+    @period_s.setter
+    def period_s(self, value: Optional[float]) -> None:
+        self._pending_n = None
+        self._period_s = value
+
+    def _long_enough(self, n: int) -> bool:
+        return n * self.sample_dt_s >= self.params.fft_update_s
+
+    def _estimate(self, n: int) -> None:
+        """Estimate over the first ``n`` samples; keep a ``None`` result
+        only once the window is long enough to be trusted."""
+        period = estimate_period(self.buffer[:n], self.sample_dt_s)
+        if period is not None or self._long_enough(n):
+            self._period_s = period
+
+    def _settle(self) -> None:
+        n = self._pending_n
+        if n is not None:
+            self._pending_n = None
+            self._estimate(n)
+
+    def _supersede(self, n: int) -> None:
+        """A refresh over the first ``n`` samples is due: drop the pending
+        one when the new one is certain to overwrite it, else evaluate it."""
+        if self._long_enough(n):
+            self._pending_n = None
+        else:
+            self._settle()
+
     def store_power(self, watts: float) -> None:
         """STOREPOWERDATA + the 30 s rolling period refresh."""
         self.buffer.append(float(watts))
         self._samples_since_update += 1
         if self._samples_since_update * self.sample_dt_s >= self.params.fft_update_s:
             self._samples_since_update = 0
-            period = estimate_period(self.buffer, self.sample_dt_s)
-            if period is not None or len(self.buffer) * self.sample_dt_s >= (
-                self.params.fft_update_s
-            ):
-                self.period_s = period
+            n = len(self.buffer)
+            self._supersede(n)
+            self._pending_n = n
 
     def refresh_period(self) -> None:
         """Re-estimate from the full current buffer (freshest data).
@@ -100,14 +144,13 @@ class FPPGpuController:
         Called by the policy right before a control decision so the
         decision never acts on an estimate up to 30 s stale.
         """
-        period = estimate_period(self.buffer, self.sample_dt_s)
-        if period is not None or (
-            len(self.buffer) * self.sample_dt_s >= self.params.fft_update_s
-        ):
-            self.period_s = period
+        n = len(self.buffer)
+        self._supersede(n)
+        self._estimate(n)
 
     def reset_buffer(self) -> None:
         """MAIN line 42: reset the FFT buffer each control interval."""
+        self._settle()
         self.buffer.clear()
         self._samples_since_update = 0
 
@@ -256,6 +299,10 @@ class FPPPolicy(PowerPolicy):
             derived = self.manager.derive_share(self.domain, limit)
         return min(self.params.max_gpu_cap_w, derived, hi)
 
+    def _idle(self) -> bool:
+        """No job and no limit on this node: nothing to manage."""
+        return self.manager.node_limit_w is None and not self.manager.job_present
+
     def on_node_limit(self, limit_w: Optional[float]) -> None:
         assert self.manager is not None
         ceiling = self._ceiling()
@@ -289,6 +336,10 @@ class FPPPolicy(PowerPolicy):
 
     def on_sample(self, timestamp: float, node_w: float, gpu_w: list) -> None:
         assert self.manager is not None
+        if self._idle():
+            # Nothing decides on these samples, and the next job's
+            # reset_job_state would discard them: the buffers stay empty.
+            return
         for ctl, w in zip(self.controllers, self.manager.device_w[self.domain]):
             ctl.store_power(w)
         # The budget ceiling moves as the node manager's other-power
@@ -307,8 +358,8 @@ class FPPPolicy(PowerPolicy):
 
     def _control_tick(self, _timer) -> None:
         assert self.manager is not None
-        if self.manager.node_limit_w is None and not self.manager.job_present:
-            return  # idle node: nothing to manage
+        if self._idle():
+            return
         tel = self.manager.broker.telemetry
         rank = self.manager.broker.rank
         tel.metrics.counter(

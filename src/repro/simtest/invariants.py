@@ -61,6 +61,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
+import numpy as np
+
 from repro.lifecycle.machine import MAINTENANCE, RETIRED
 from repro.manager.node_manager import CAP_CLASSES
 
@@ -282,19 +284,22 @@ class BufferChecker(InvariantChecker):
                         rank=broker.rank, segments=len(buf.segments), len=n,
                     )
                 )
-            last = -math.inf
-            for ts, _sample in buf.snapshot():
-                if ts < last:
-                    out.append(
-                        self.violation(
-                            ctx,
-                            f"rank {broker.rank} buffer timestamps not "
-                            f"monotonic ({ts} after {last})",
-                            rank=broker.rank, ts=ts, prev=last,
-                        )
+            # The retained window's timestamps, read straight from the
+            # ring's tick log: no sample dicts are built.
+            end = buf.end
+            times = buf.log.raw.data[end - n:end]
+            back = np.flatnonzero(times[1:] < times[:-1])
+            if back.size:
+                k = int(back[0]) + 1
+                ts, last = float(times[k]), float(times[k - 1])
+                out.append(
+                    self.violation(
+                        ctx,
+                        f"rank {broker.rank} buffer timestamps not "
+                        f"monotonic ({ts} after {last})",
+                        rank=broker.rank, ts=ts, prev=last,
                     )
-                    break
-                last = ts
+                )
         return out
 
 

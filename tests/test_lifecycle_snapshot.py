@@ -287,6 +287,23 @@ def test_cli_restore_refuses_unreadable_file(tmp_path, capsys, no_runs):
     assert "cannot read snapshot" in capsys.readouterr().err
 
 
+def test_cli_restore_refuses_a_policy_mismatch_before_any_run(
+    tmp_path, capsys, no_runs
+):
+    from repro.cli import main
+
+    cluster = _managed_cluster("pi")
+    cluster.run_for(10.0)
+    snap = json.loads(json.dumps(snapshot_cluster(cluster)))
+    snap["manager"]["config"]["policy"] = "ecoshift"
+    snap["scenario"] = Scenario(seed=1, policy="pi").to_dict()
+    path = _write(tmp_path / "mismatch.json", snap)
+    assert main(["lifecycle", "--restore", path]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot restore: {path}: snapshot policy 'ecoshift' != deployed 'pi'\n"
+    )
+
+
 def test_cli_diff_validates_both_envelopes(tmp_path, capsys):
     from repro.cli import main
 
