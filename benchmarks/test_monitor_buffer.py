@@ -2,8 +2,10 @@
 
 Section III-A: the default circular buffer stores 100,000 Variorum JSON
 samples in 43.4 MiB. This bench verifies the sizing arithmetic against
-real serialised samples and times the node-agent hot path (one Variorum
-read + buffer append), the cost that underlies the overhead model.
+real serialised samples and times the ring every node agent samples
+into — a :class:`~repro.columnar.store.ColumnarRing` of that capacity
+over a :class:`~repro.columnar.store.TickLog`: the per-sample hot path
+(one Variorum read + tick + segment push) and the window query.
 """
 
 import pytest
@@ -11,8 +13,16 @@ from conftest import emit, run_once
 
 from repro import variorum
 from repro.experiments import calibration as cal
+from repro.columnar.store import ColumnarRing, TickLog
 from repro.hardware.platforms.lassen import make_lassen_node
-from repro.monitor.buffer import CircularBuffer, DEFAULT_SAMPLE_BYTES
+from repro.monitor.buffer import DEFAULT_CAPACITY, DEFAULT_SAMPLE_BYTES
+
+
+def _ring(granularity_s: float) -> ColumnarRing:
+    """An empty paper-capacity ring over a fresh one-member tick log."""
+    log = TickLog()
+    log.ensure_granularity(granularity_s)
+    return ColumnarRing(log, granularity_s, capacity=DEFAULT_CAPACITY, start=0)
 
 
 def test_buffer_sizing_matches_paper(benchmark):
@@ -42,29 +52,40 @@ def test_buffer_sizing_matches_paper(benchmark):
 
 
 def test_sampling_hot_path(benchmark):
-    """Time the per-sample work a node agent does every 2 s."""
+    """Time the per-sample work a node agent does every 2 s.
+
+    The worst case: a fresh Variorum read and a new segment on every
+    tick, as for a node on a noisy sensor.
+    """
     node = make_lassen_node("n0")
-    buf = CircularBuffer()
+    buf = _ring(node.sensors.granularity_s)
+    log = buf.log
     clock = iter(range(10_000_000))
 
     def one_sample():
         t = float(next(clock))
-        buf.append(t, variorum.get_node_power_json(node, t))
+        log.tick(t)
+        buf.push_segment(
+            log.n - 1, node.power_rev, variorum.get_node_power_json(node, t)
+        )
 
     benchmark(one_sample)
     assert len(buf) > 0
 
 
 def test_range_bisect_vs_linear_scan(benchmark):
-    """Window query on a full 100k buffer: bisect vs the old O(n) scan.
+    """Window query on a full 100k ring: bisect vs an O(n) scan.
 
     The node agent answers every aggregation query through
-    ``CircularBuffer.range``; on a full buffer a narrow window (a short
-    job on a long-lived agent) used to scan all 100k retained samples.
+    ``ColumnarRing.range``, a bisection over the tick log's timestamp
+    column; a scan would walk all 100k retained samples for a narrow
+    window (a short job on a long-lived agent).
     """
-    buf = CircularBuffer()
+    buf = _ring(1.0)
+    log = buf.log
     for t in range(buf.capacity + 5_000):  # force a wrap too
-        buf.append(float(t), {"t": t})
+        log.tick(float(t))
+        buf.push_segment(log.n - 1, t, {"t": t})
     t0, t1 = 100_000.0, 100_060.0  # 61-sample window in retained history
 
     def linear_scan():
@@ -91,7 +112,7 @@ def test_range_bisect_vs_linear_scan(benchmark):
     scan = linear_scan()
     scan_s = time.perf_counter() - start
     emit(
-        "CircularBuffer.range on a full 100k ring (61-sample window)",
+        "ColumnarRing.range on a full 100k ring (61-sample window)",
         [
             f"bisect-backed range: {bisect_s * 1e6:8.1f} us",
             f"full linear scan:    {scan_s * 1e6:8.1f} us",

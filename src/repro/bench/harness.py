@@ -28,24 +28,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+import numpy
+
 BENCH_SCHEMA_VERSION = "repro-bench/1"
 
 _RESULT_KEYS = {"benchmark", "metric", "value", "wall_s", "params"}
-
-
-def _numpy_version() -> Optional[str]:
-    """numpy's version, or None on a checkout/venv without it.
-
-    The columnar hot paths are numpy-vectorised, so the exact numpy
-    build is as much a part of a measurement's provenance as the
-    Python version; ``--compare`` warns when two artifacts disagree.
-    """
-    try:
-        import numpy
-
-        return str(numpy.__version__)
-    except ImportError:  # pragma: no cover - numpy ships in the image
-        return None
 
 
 @dataclass
@@ -88,7 +75,10 @@ class BenchReport:
             "platform": {
                 "python": _platform.python_version(),
                 "machine": _platform.machine(),
-                "numpy": _numpy_version(),
+                # The columnar hot paths are numpy-vectorised, so the
+                # numpy build is part of a measurement's provenance;
+                # ``--compare`` warns when two artifacts disagree.
+                "numpy": numpy.__version__,
             },
             "results": [r.to_dict() for r in self.results],
         }

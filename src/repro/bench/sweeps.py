@@ -4,15 +4,11 @@ The original ``scalability_query`` benchmark stops at Lassen's 792
 nodes.  These two sweeps are the exascale follow-on: a long sampling
 window over 10,000 (respectively 100,000) simulated nodes with
 periodic whole-machine ``GET_JOB_POWER`` queries — the workload the
-columnar store (:mod:`repro.columnar`) exists for.
+columnar sample rings (:mod:`repro.columnar`) exist for.
 
-Both benchmarks use only public APIs and feature-detect everything
-that post-dates the columnar work (the ``columnar=`` keyword of
-``attach_monitor``, the El Capitan platform model), so this very file
-can be dropped onto a pre-columnar checkout to produce the *baseline*
-side of a ``repro bench --compare`` pair.  The fallbacks are recorded
-in each result's ``params`` (``platform`` and ``columnar``) so a
-comparison across the feature boundary is visible in the artifact.
+Both benchmarks use only public APIs on El Capitan-class nodes; each
+checkout runs its own copy, so a ``repro bench --compare`` pair always
+measures the tree it came from.
 
 The reported value is end-to-end sweep throughput::
 
@@ -24,41 +20,14 @@ with total wall covering instance build + sampling window + queries;
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Any, Dict, List
 
 from repro.bench.harness import BenchResult
 
 
-def _sweep_platform() -> str:
-    """El Capitan-class nodes when the model exists, else Lassen."""
-    try:
-        from repro.hardware.platforms import PLATFORM_FACTORIES
-
-        if "elcapitan" in PLATFORM_FACTORIES:
-            return "elcapitan"
-    except ImportError:  # pragma: no cover - ancient checkouts
-        pass
-    return "lassen"
-
-
-def _attach_best_available(instance, **kwargs):
-    """``attach_monitor`` with every keyword the checkout understands.
-
-    Returns ``(monitor, columnar)``: ``columnar`` says whether the
-    checkout's ``attach_monitor`` knows the ``columnar=`` keyword. On a
-    pre-columnar tree the request silently degrades to the scalar
-    per-agent path — which is exactly the baseline measurement the
-    comparison needs.
-    """
-    from repro.monitor.module import attach_monitor
-
-    allowed = inspect.signature(attach_monitor).parameters
-    monitor = attach_monitor(
-        instance, **{k: v for k, v in kwargs.items() if k in allowed}
-    )
-    return monitor, "columnar" in allowed
+#: The node model both sweeps build (El Capitan-class nodes).
+SWEEP_PLATFORM = "elcapitan"
 
 
 def _run_sweep(
@@ -74,18 +43,17 @@ def _run_sweep(
     seed: int = 7,
 ) -> List[BenchResult]:
     from repro.flux.instance import FluxInstance
+    from repro.monitor.module import attach_monitor
     from repro.monitor.root_agent import GET_JOB_POWER_TOPIC
 
-    platform = _sweep_platform()
     t0 = time.perf_counter()
     inst = FluxInstance(
-        platform=platform, n_nodes=n_nodes, seed=seed, fanout=fanout
+        platform=SWEEP_PLATFORM, n_nodes=n_nodes, seed=seed, fanout=fanout
     )
-    _, columnar = _attach_best_available(
+    attach_monitor(
         inst,
         sample_interval_s=sample_interval_s,
         buffer_capacity=buffer_capacity,
-        columnar=True,
     )
     build_s = time.perf_counter() - t0
 
@@ -120,8 +88,7 @@ def _run_sweep(
     generated = n_nodes * (int(window_s / sample_interval_s) + 1)
     params: Dict[str, Any] = {
         "n_nodes": n_nodes,
-        "platform": platform,
-        "columnar": columnar,
+        "platform": SWEEP_PLATFORM,
         "window_s": window_s,
         "sample_interval_s": sample_interval_s,
         "buffer_capacity": buffer_capacity,

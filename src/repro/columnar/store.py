@@ -1,5 +1,4 @@
-"""The columnar node store and implicit sample rings: the monitor's
-sampling path.
+"""Implicit sample rings: the storage under the monitor's sampling path.
 
 An explicit per-node ring buffer costs O(nodes) Python work *per
 sampling tick* — one dict copy, two gauge writes and one accountant
@@ -21,54 +20,22 @@ steady-state sampling O(ticks + power-state changes) instead:
   :class:`ColumnarSamples` view whose ``len`` is O(1) and whose dicts
   are built on iteration. Segments wholly before the live window are
   dropped, so a ring never holds more than ``len(ring) + 1`` of them.
-* Power-state changes are detected with one integer compare per tick:
-  every demand/cap mutation bumps :attr:`ColumnarNodeStore.global_rev`
-  (via ``Node.bump_power_rev``), and only ticks that observe a changed
-  global revision rescan member nodes for stale segments. Members on
-  noisy sensors draw per-sample RNG, so their group samples them on
-  every tick, in member order, at the instant a per-node timer would
-  have; each such tick pushes one segment.
-* The per-tick telemetry side effects are deferred but *exact*: buffer
-  gauges are last-write-wins (recomputed from ring state at flush),
-  and accountant charges wait in one store-wide run-length queue of
-  ``(charge, count)``, appended in tick order and, within a tick, in
-  member registration order — the order per-node timers charged in.
-  Replaying each run as ``count`` identical float additions reproduces
-  the per-sample accumulator bit for bit; on a single-platform engine
-  the queue is one run. Flushes run before any other ``monitor`` charge
-  (accountant pre-charge hook) and before every metrics export.
 
-:class:`~repro.monitor.buffer.CircularBuffer` is the explicit reference
-ring the tests drive side by side with :class:`ColumnarRing`.
+Who writes the rings, when a node's power state changed and how a
+tick charges the overhead accountant is the sampler's business:
+:mod:`repro.monitor.sampler` is the one per-engine sampling
+coordinator.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.monitor.buffer import DEFAULT_SAMPLE_BYTES
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hardware.node import Node
-    from repro.simkernel.engine import Simulator
-
-_ATTR = "_columnar_store"
-
-#: Deferred charge runs a store holds before replaying them unasked.
-MAX_QUEUED_CHARGE_RUNS = 1024
-
-
-def columnar_store_of(sim: "Simulator") -> "ColumnarNodeStore":
-    """The per-simulator store, created on first use."""
-    store = getattr(sim, _ATTR, None)
-    if store is None:
-        store = ColumnarNodeStore(sim)
-        setattr(sim, _ATTR, store)
-    return store
 
 
 def _wire_timestamp(t: float, granularity_s: float) -> float:
@@ -192,10 +159,11 @@ class ColumnarSamples(Sequence):
 class ColumnarRing:
     """A ring-buffer-compatible *view* over a group's tick log.
 
-    Implements the :class:`~repro.monitor.buffer.CircularBuffer` read
-    and recovery surface (len / dropped / oldest / newest / range /
-    flush / snapshot / restore) without storing anything per tick. Its
-    sampler group pushes the segments; nothing else writes to it.
+    Implements the read and recovery surface of an explicit ring buffer
+    (len / dropped / oldest / newest / range / flush / snapshot /
+    restore; ``tests/ring_reference.py`` is the reference) without
+    storing anything per tick. Its sampler group pushes the segments;
+    nothing else writes to it.
     """
 
     __slots__ = (
@@ -307,7 +275,7 @@ class ColumnarRing:
         self.start = idx
         self._flush_lo = min(self._flush_lo, idx)
 
-    # -- CircularBuffer read surface -----------------------------------
+    # -- ring read surface ---------------------------------------------
     def range(self, t_start: float, t_end: float):
         if t_end < t_start:
             raise ValueError("t_end must be >= t_start")
@@ -382,103 +350,3 @@ class ColumnarRing:
         self.start = end - total
         self._flush_lo = lo
         self.segments = segs
-
-
-class ColumnarNodeStore:
-    """Per-simulator sampling state shared by every sampler group.
-
-    :meth:`adopt` installs the node-side revision sink, so every
-    demand/cap mutation on an adopted node bumps :attr:`global_rev`.
-    The store also owns the queue of deferred ``monitor`` charges and
-    the deferred-telemetry flush. Several instances sharing one engine
-    (a federated site) share one store: rings key on their own node's
-    revision, so nothing here is per instance.
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        #: Bumped on every adopted node's power-state mutation; sampler
-        #: groups compare it to skip per-node scans on quiet ticks.
-        self.global_rev = 0
-        #: Deferred ``monitor`` charges as ``[charge, count]`` runs, in
-        #: the order per-node timers would have charged them.
-        self._charges: List[List] = []
-        self._flushing = False
-        self._hooked = False
-
-    # -- membership -----------------------------------------------------
-    def adopt(self, node: "Node") -> None:
-        """Wire ``node``'s revision sink to this store (idempotent)."""
-        if node._col_sink is self:
-            return
-        node._col_sink = self
-        self._ensure_hooks()
-
-    def _ensure_hooks(self) -> None:
-        if self._hooked:
-            return
-        from repro.telemetry import telemetry_of
-
-        tel = telemetry_of(self.sim)
-        tel.accountant.add_pre_charge_hook(self._on_accountant_charge)
-        tel.metrics.add_flush_hook(self.flush)
-        self._hooked = True
-
-    # -- node-side sink -------------------------------------------------
-    def power_rev_changed(self, node: "Node") -> None:
-        self.global_rev += 1
-
-    # -- deferred telemetry ---------------------------------------------
-    def enqueue_charges(self, runs: Iterable[Tuple[float, int]]) -> None:
-        """Queue ``count`` accountant charges of ``charge`` per run."""
-        queue = self._charges
-        for charge, count in runs:
-            if queue and queue[-1][0] == charge:
-                queue[-1][1] += count
-            else:
-                queue.append([charge, count])
-        self._needs_flush = True
-        if len(queue) > MAX_QUEUED_CHARGE_RUNS:
-            # Replaying early keeps the order, so it stays exact; it
-            # bounds the queue where members charge different constants.
-            self._drain_charges()
-
-    def _drain_charges(self) -> None:
-        queue = self._charges
-        if not queue:
-            return
-        self._charges = []
-        from repro.telemetry import telemetry_of
-
-        accountant = telemetry_of(self.sim).accountant
-        for charge, count in queue:
-            # charge_repeated replays ``count`` sequential additions in
-            # one bit-exact bulk step; the runs keep their queue order.
-            accountant.charge_repeated("monitor", charge, count)
-
-    def _on_accountant_charge(self, category: Optional[str]) -> None:
-        if category is None or category == "monitor":
-            self._drain_charges()
-
-    #: Set by group ticks; cleared on flush (cheap no-op guard).
-    _needs_flush = False
-
-    def flush(self) -> None:
-        """Replay deferred charges and write deferred gauges.
-
-        Runs before every metrics export and digest so deferred state
-        is never observable; last-write-wins gauges and in-order charge
-        replay make the result bit-identical to per-sample writes
-        (docs/performance.md has the argument).
-        """
-        if self._flushing or not self._needs_flush:
-            return
-        self._flushing = True
-        try:
-            from repro.monitor.sampler import sampler_of
-
-            self._drain_charges()
-            sampler_of(self.sim).flush_gauges()
-            self._needs_flush = False
-        finally:
-            self._flushing = False

@@ -116,8 +116,8 @@ class Node:
         #: returns exactly what a recomputation would.
         self._power_memo_rev = -1
         self._power_memo_w = 0.0
-        #: Columnar sink, set by ColumnarNodeStore.adopt(); while set,
-        #: every revision bump also bumps the store's global revision.
+        #: Revision sink, set by BatchSampler.adopt(); while set, every
+        #: revision bump also bumps the sampler's global revision.
         self._col_sink = None
         for dom in self._domain_list:
             dom._owner = self
@@ -166,9 +166,9 @@ class Node:
     def bump_power_rev(self) -> None:
         """Advance the power revision (every demand/cap mutation).
 
-        When a columnar store has adopted this node the store's global
-        revision moves too, so the next sampler tick rescans its
-        members for stale sample templates.
+        When the monitor sampler has adopted this node its global
+        revision moves too, so the next group tick rescans its members
+        for stale sample templates.
         """
         self.power_rev += 1
         sink = self._col_sink

@@ -11,7 +11,6 @@ client: it looks the job up (nodes, start/end) and produces a CSV with
 a per-node complete/partial flag, exactly like the paper's tool.
 """
 
-from repro.monitor.buffer import CircularBuffer
 from repro.monitor.node_agent import NodeAgentModule
 from repro.monitor.root_agent import RootAgentModule
 from repro.monitor.client import PowerMonitorClient, JobPowerData
@@ -19,7 +18,6 @@ from repro.monitor.module import PowerMonitor, attach_monitor
 from repro.monitor.overhead import sampling_overhead_fraction
 
 __all__ = [
-    "CircularBuffer",
     "NodeAgentModule",
     "RootAgentModule",
     "PowerMonitorClient",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from repro import variorum
-from repro.columnar.store import ColumnarRing, columnar_store_of
+from repro.columnar.store import ColumnarRing
 from repro.flux.broker import Broker
 from repro.flux.message import CachedSizeDict, Message, estimate_payload_bytes
 from repro.flux.module import Module
@@ -37,12 +37,13 @@ CLEAR_TOPIC = "power-monitor.clear"
 class NodeAgentModule(Module):
     """Samples node power via Variorum into a ring buffer.
 
-    On load the agent adopts its node into the simulator's columnar
-    store and joins a :class:`~repro.monitor.sampler.SampleGroup` on its
-    tick grid. From then on ``buffer`` is a
-    :class:`~repro.columnar.store.ColumnarRing` — a lazy view over the
-    group's shared tick log that the group fills — on every agent,
-    noisy sensors and restored snapshots included.
+    On load the agent hands its node to the simulator's
+    :class:`~repro.monitor.sampler.BatchSampler` and joins a
+    :class:`~repro.monitor.sampler.SampleGroup` on its tick grid. From
+    then on ``buffer`` is a :class:`~repro.columnar.store.ColumnarRing`
+    — a lazy view over the group's shared tick log that the group
+    fills — on every agent, noisy sensors and restored snapshots
+    included.
     """
 
     name = "power-monitor"
@@ -109,9 +110,10 @@ class NodeAgentModule(Module):
         self.register_service(QUERY_TOPIC, self._handle_query)
         self.register_service(STATUS_TOPIC, self._handle_status)
         self.register_service(CLEAR_TOPIC, self._handle_clear)
-        columnar_store_of(self.sim).adopt(self.broker.node)
+        sampler = sampler_of(self.sim)
+        sampler.adopt(self.broker.node)
         # First sample at load time, then on the fixed grid.
-        sampler_of(self.sim).register(self)
+        sampler.register(self)
 
     def on_unload(self) -> None:
         sampler_of(self.sim).unregister(self)
@@ -126,8 +128,8 @@ class NodeAgentModule(Module):
     def _set_buffer_gauges(self) -> None:
         """Write the per-rank occupancy/drop gauges from buffer state.
 
-        Last-write-wins, so the columnar store defers these to its
-        flush without changing any exported value.
+        Last-write-wins, so the sampler defers these to its flush
+        without changing any exported value.
         """
         if self._g_occupancy is None:
             metrics = self.broker.telemetry.metrics
@@ -250,15 +252,15 @@ class NodeAgentModule(Module):
         Subsequent job queries covering earlier windows will report
         partial data — the flush case the client CSV flag exists for.
         """
+        # Earlier samples' pending gauges land first, so this write is
+        # the last one for the rank, as it would be with per-sample writes.
+        sampler_of(self.sim).flush_gauges()
         flushed = self.buffer.flush()
-        tel = broker.telemetry
-        tel.metrics.counter(
+        broker.telemetry.metrics.counter(
             "monitor_buffer_flushes_total",
             help="administrative buffer flushes",
         ).inc()
-        tel.metrics.gauge(
-            "monitor_buffer_occupancy", labels={"rank": str(broker.rank)},
-        ).set(0)
+        self._set_buffer_gauges()
         broker.respond(msg, {"rank": broker.rank, "flushed": flushed})
 
     def _handle_status(self, broker: Broker, msg: Message) -> None:

@@ -1,14 +1,19 @@
-"""Batched sampling: one engine event per interval for all node agents.
+"""Batched sampling: the one per-engine sampling coordinator.
 
 Each node agent samples on its own fixed grid (``first, first +
 period, ...``), but a 792-node instance must not push 792 heap events
 through the engine every 2 s window just to run 792 purely-local
-sample bodies. This coordinator coalesces them: agents sharing a tick
-grid register into one :class:`SampleGroup`, and a single periodic
-event ticks the group each interval. Every member samples into a
-:class:`~repro.columnar.store.ColumnarRing` over the group's shared
+sample bodies. :class:`BatchSampler` coalesces them: agents sharing a
+tick grid register into one :class:`SampleGroup`, and a single
+periodic event ticks the group each interval. Every member samples into
+a :class:`~repro.columnar.store.ColumnarRing` over the group's shared
 tick log, so a quiet tick costs O(1) however many members share it
 (:mod:`repro.columnar.store` has the layout).
+
+The sampler is also the engine's power-state sink:
+:meth:`BatchSampler.adopt` wires a node's ``bump_power_rev`` to
+:attr:`BatchSampler.global_rev`, so a group rescans its members only
+on ticks that follow a demand or cap mutation somewhere on the engine.
 
 Determinism invariants (docs/performance.md has the full argument);
 the reference is one independent periodic timer per agent, which the
@@ -23,15 +28,23 @@ golden fixtures were recorded with:
 * **In-group order is registration order**, which is the sequence
   order the agents' individual timers would have been created in — so
   same-tick sensor reads (the RNG draws of noisy sensors) and the
-  queued accountant charges keep the per-node event order.
+  accountant charges keep the per-node event order.
 * **Sample bodies are local.** They update the node's ring, per-rank
   gauges and the overhead accountant; they never send messages,
   schedule events or draw cross-node RNG, so fusing them into one
   callback cannot reorder anything observable.
+* **Charges land at the tick.** A tick charges its members' ``monitor``
+  costs as ``(charge, count)`` runs in member order through
+  ``charge_repeated``, which adds exactly ``count`` sequential ``+=``
+  (:func:`repro.telemetry.metrics.repeat_add`), so the accountant holds
+  the per-sample sum bit for bit at every instant.
 * **Telemetry is batched but value-identical**: the shared
   ``monitor_samples_total`` counter takes one ``inc(n)`` per tick —
   integer-valued float addition is exact, so the total equals n
-  per-sample ``inc(1)`` calls.
+  per-sample ``inc(1)`` calls. Per-rank buffer gauges are
+  last-write-wins, so they are the one deferred write: a registry
+  flush hook writes them before every export, and
+  :meth:`BatchSampler.unregister` writes them before a member leaves.
 
 A registration that arrives at an instant whose group tick has already
 fired this same instant (e.g. an agent reloaded by a same-time event
@@ -45,10 +58,12 @@ from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.columnar.store import ColumnarRing, TickLog, columnar_store_of
+from repro.columnar.store import ColumnarRing, TickLog
 from repro.simkernel.engine import ScheduledEvent, Simulator
+from repro.telemetry import telemetry_of
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hardware.node import Node
     from repro.monitor.node_agent import NodeAgentModule
 
 _ATTR = "_monitor_batch_sampler"
@@ -71,7 +86,7 @@ class SampleGroup:
 
     __slots__ = (
         "key", "members", "log", "event", "last_tick_t", "_tick_seq",
-        "_sampler", "_store", "_seen_global_rev", "_noisy", "_charge_runs",
+        "_sampler", "_seen_global_rev", "_noisy", "_charge_runs",
     )
 
     def __init__(
@@ -87,7 +102,6 @@ class SampleGroup:
         #: Engine-wide ordinal of this group's last tick.
         self._tick_seq = 0
         self._sampler = sampler
-        self._store = columnar_store_of(sampler.sim)
         self._seen_global_rev = -1
         #: Derived from ``members`` at the first tick after a change:
         #: the noisy-sensor members, and the members' per-sample
@@ -145,9 +159,8 @@ class SampleGroup:
         log.tick(now)
         if self._charge_runs is None:
             self._reindex()
-        store = self._store
-        if store.global_rev != self._seen_global_rev:
-            self._seen_global_rev = store.global_rev
+        if sampler.global_rev != self._seen_global_rev:
+            self._seen_global_rev = sampler.global_rev
             scan = members
         else:
             scan = self._noisy
@@ -160,24 +173,35 @@ class SampleGroup:
                 ring.push_segment(
                     idx, rev, agent._backend.sample_cached(node, now, agent._plan)
                 )
-        store.enqueue_charges(self._charge_runs)
+        charge_repeated = sampler._accountant.charge_repeated
+        for charge, count in self._charge_runs:
+            charge_repeated("monitor", charge, count)
+        sampler._needs_flush = True
 
     def catch_up(self, agent: "NodeAgentModule") -> None:
         """The sample ``agent``'s own timer would have taken at the
         group's last tick, taken now (same instant, later in order)."""
         ring = agent.buffer
+        sampler = self._sampler
         ring.adopt_last_tick()
         node = agent.broker.node
         ring.push_segment(
             self.log.n - 1,
             node.power_rev,
-            agent._backend.sample_cached(node, self._sampler.sim.now, agent._plan),
+            agent._backend.sample_cached(node, sampler.sim.now, agent._plan),
         )
-        self._store.enqueue_charges(((agent._charge_s, 1),))
+        sampler._accountant.charge("monitor", agent._charge_s)
+        sampler._needs_flush = True
 
 
 class BatchSampler:
-    """Registry of sample groups for one simulator."""
+    """The sampling coordinator for one simulator: its sample groups,
+    its power-state revision and its deferred buffer gauges.
+
+    Several instances sharing one engine (a federated site) share one
+    sampler: rings key on their own node's revision, so nothing here is
+    per instance.
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -185,6 +209,22 @@ class BatchSampler:
         self._samples_counter = None
         #: Group ticks so far, across every group.
         self._ticks = 0
+        #: Bumped on every adopted node's power-state mutation; sample
+        #: groups compare it to skip per-node scans on quiet ticks.
+        self.global_rev = 0
+        tel = telemetry_of(sim)
+        self._accountant = tel.accountant
+        #: Set by every sample; cleared when the gauges are written.
+        self._needs_flush = False
+        tel.metrics.add_flush_hook(self.flush_gauges)
+
+    # -- node-side sink -------------------------------------------------
+    def adopt(self, node: "Node") -> None:
+        """Route ``node``'s power-revision bumps to :attr:`global_rev`."""
+        node._col_sink = self
+
+    def power_rev_changed(self, node: "Node") -> None:
+        self.global_rev += 1
 
     def samples_counter(self, agent: "NodeAgentModule"):
         """The shared samples counter, resolved lazily so the metric
@@ -237,10 +277,15 @@ class BatchSampler:
         return None
 
     def unregister(self, agent: "NodeAgentModule") -> None:
-        """Stop sampling ``agent``; empty groups cancel their event."""
+        """Stop sampling ``agent``; empty groups cancel their event.
+
+        Pending gauges are written first: a departing member's last
+        sample must still reach its gauges, as a per-sample write would.
+        """
         group = agent._group
         if group is None:
             return
+        self.flush_gauges()
         group.remove(agent)
         if not group.members:
             group.event.cancel()
@@ -252,12 +297,18 @@ class BatchSampler:
             group.catch_up(agent)
 
     def flush_gauges(self) -> None:
-        """Write every member's deferred buffer gauges.
+        """Write every member's deferred buffer gauges, if any sample
+        was taken since the last write (the registry's flush hook).
 
         Groups write in the order they last ticked, so where sibling
         instances on one engine share a gauge (same rank label), the
-        agent that sampled last wins, as with per-sample writes.
+        agent that sampled last wins, as with per-sample writes. The
+        values are recomputed from ring state, so the result equals
+        per-sample writes however late it runs.
         """
+        if not self._needs_flush:
+            return
+        self._needs_flush = False
         for group in sorted(self._groups.values(), key=_tick_seq):
             for agent in group.members:
                 agent._set_buffer_gauges()

@@ -1,7 +1,8 @@
 """Metrics primitives: counters, gauges, histograms, and their registry.
 
-Dependency-free (stdlib only) so every layer — simkernel upward — may
-be instrumented without import cycles. Three deliberate departures from
+Stdlib plus numpy (for :func:`repeat_add`) and no other ``repro``
+module, so every layer — simkernel upward — may be instrumented
+without import cycles. Three deliberate departures from
 a wall-clock metrics library:
 
 * **Simulation time.** The registry's clock reads ``Simulator.now``
@@ -25,6 +26,8 @@ import json
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 #: Default histogram boundaries (seconds), tuned for TBON/RPC latencies:
 #: one-hop control messages sit around 100 µs, whole-machine telemetry
 #: fan-ins reach tens of milliseconds, cap-chain propagation a few ms.
@@ -42,20 +45,14 @@ def repeat_add(base: float, amount: float, count: int) -> float:
 
     ``np.add.accumulate`` is defined as strict left-to-right IEEE
     accumulation (it must produce every prefix), so the result is
-    bit-identical to the Python loop at a fraction of the cost — the
-    columnar store replays millions of deferred constant charges
-    through this. Chunked to bound the scratch array; falls back to
-    the plain loop without numpy.
+    bit-identical to the Python loop at a fraction of the cost. A
+    sampler tick charges each run of equal-cost members through this,
+    so one call of ``count`` equals ``count`` per-sample charges, and
+    two calls of ``a`` and ``b`` equal one of ``a + b``. Chunked to
+    bound the scratch array.
     """
     if count <= 0:
         return base
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy ships in the image
-        total = base
-        for _ in range(count):
-            total += amount
-        return total
     total = base
     remaining = count
     chunk = 1 << 20
@@ -271,15 +268,15 @@ class MetricsRegistry:
         #: (name, label key) -> Metric
         self._series: Dict[Tuple[str, _LabelKey], Metric] = {}
         #: Callbacks run before any export so deferred writers (the
-        #: columnar store) can settle their gauges/counters first.
+        #: monitor sampler's buffer gauges) can settle first.
         self._flush_hooks: List[Callable[[], None]] = []
         self._flushing = False
 
     def add_flush_hook(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` before every snapshot/export.
 
-        Lazily-maintained sources (e.g. the columnar node store, which
-        batches gauge updates per sampler tick) register here so reads
+        Lazily-maintained sources (e.g. the monitor sampler, which
+        defers its last-write-wins buffer gauges) register here so reads
         through the exporters always see settled values. Hooks must be
         idempotent; re-entrant exports during a hook skip flushing.
         """

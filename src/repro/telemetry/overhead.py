@@ -61,50 +61,16 @@ class OverheadAccountant:
         # charge() is on the per-sample hot path; cache the counter
         # handle per category instead of a registry lookup per charge.
         self._counters: Dict[str, object] = {}
-        #: Callbacks run before a charge lands, so deferred chargers
-        #: (the columnar store batches monitor charges per tick) can
-        #: settle earlier work first and keep accumulation order exact.
-        self._pre_charge_hooks: List = []
-        self._in_hook = False
-
-    def add_pre_charge_hook(self, hook) -> None:
-        """Run ``hook(category)`` before each charge is applied, and
-        before each read (``category=None`` settles every category).
-
-        Hooks may themselves call :meth:`charge` (to replay deferred
-        work); re-entrant charges skip the hooks.
-        """
-        if hook not in self._pre_charge_hooks:
-            self._pre_charge_hooks.append(hook)
-
-    def _settle(self, category: Optional[str]) -> None:
-        """Let deferred chargers land their earlier work first."""
-        if self._pre_charge_hooks and not self._in_hook:
-            self._in_hook = True
-            try:
-                for hook in list(self._pre_charge_hooks):
-                    hook(category)
-            finally:
-                self._in_hook = False
 
     def charge(self, category: str, seconds: float) -> None:
         """Attribute ``seconds`` of simulated work to ``category``."""
         if not self.enabled:
             return
-        self._settle(category)
         if seconds < 0:
             raise ValueError(f"cannot charge negative time ({seconds})")
         self._seconds[category] = self._seconds.get(category, 0.0) + seconds
         if self.registry is not None:
-            counter = self._counters.get(category)
-            if counter is None:
-                counter = self.registry.counter(
-                    "overhead_seconds_total",
-                    labels={"category": category},
-                    help="simulated CPU seconds attributed to framework category",
-                )
-                self._counters[category] = counter
-            counter.inc(seconds)
+            self._counter(category).inc(seconds)
 
     def charge_repeated(self, category: str, seconds: float, count: int) -> None:
         """Attribute ``count`` identical charges in bulk, bit-exactly.
@@ -112,37 +78,38 @@ class OverheadAccountant:
         The accumulator (and its mirrored counter) end up with exactly
         the value ``count`` sequential :meth:`charge` calls would
         produce — :func:`repro.telemetry.metrics.repeat_add` preserves
-        the left-to-right float order — without per-call overhead; the
-        columnar store's deferred replay drains through this. Hooks
-        run once up front: a drain hook is a no-op after its first
-        call when no sim work happens between the identical charges.
+        the left-to-right float order — without per-call overhead. A
+        sampler tick charges each run of members with equal costs
+        through this.
         """
         if not self.enabled or count <= 0:
             return
         if seconds < 0:
             raise ValueError(f"cannot charge negative time ({seconds})")
-        self._settle(category)
         self._seconds[category] = repeat_add(
             self._seconds.get(category, 0.0), seconds, count
         )
         if self.registry is not None:
-            counter = self._counters.get(category)
-            if counter is None:
-                counter = self.registry.counter(
-                    "overhead_seconds_total",
-                    labels={"category": category},
-                    help="simulated CPU seconds attributed to framework category",
-                )
-                self._counters[category] = counter
-            counter.inc_repeated(seconds, count)
+            self._counter(category).inc_repeated(seconds, count)
+
+    def _counter(self, category: str):
+        """The mirrored ``overhead_seconds_total`` series, registered at
+        the category's first charge."""
+        counter = self._counters.get(category)
+        if counter is None:
+            counter = self.registry.counter(
+                "overhead_seconds_total",
+                labels={"category": category},
+                help="simulated CPU seconds attributed to framework category",
+            )
+            self._counters[category] = counter
+        return counter
 
     def seconds(self, category: str) -> float:
         """Total simulated seconds charged to ``category`` so far."""
-        self._settle(category)
         return self._seconds.get(category, 0.0)
 
     def categories(self) -> List[str]:
-        self._settle(None)
         return sorted(self._seconds)
 
     def reset(self) -> None:

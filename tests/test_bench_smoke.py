@@ -42,8 +42,6 @@ def test_bench_quick_writes_schema_valid_artifact(tmp_path, capsys):
         r["benchmark"]: r for r in data["results"]
         if r["benchmark"].startswith("sweep_")
     }
-    # The exascale sweeps run columnar on this tree and record it.
-    assert all(r["params"]["columnar"] is True for r in sweeps.values())
     assert all(r["metric"] == "node_samples_per_s" for r in sweeps.values())
     (policy,) = [r for r in data["results"] if r["benchmark"] == "table4_policy"]
     assert policy["params"]["n_jobs"] > 0

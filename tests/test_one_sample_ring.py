@@ -183,10 +183,9 @@ def test_mixed_platform_site_crash_restore_after_outage_is_equivalent():
 
 
 def test_two_charge_constants_replay_in_timer_order_with_a_bounded_queue():
-    """Lassen and Tioga agents on one engine: the deferred charges sum
+    """Lassen and Tioga agents on one engine: the tick charges sum
     exactly as per-agent timers would add them, tick by tick in
-    registration order, and the queue stays bounded between reads."""
-    from repro.columnar.store import MAX_QUEUED_CHARGE_RUNS, columnar_store_of
+    registration order."""
     from repro.simkernel import Simulator
 
     sim = Simulator()
@@ -197,9 +196,8 @@ def test_two_charge_constants_replay_in_timer_order_with_a_bounded_queue():
         agents += attach_monitor(inst, sample_interval_s=2.0).node_agents
     charges = [a._charge_s for a in agents]
     assert charges[0] != charges[-1]
-    inst.run_for(2 * MAX_QUEUED_CHARGE_RUNS + 10.0)
+    inst.run_for(2058.0)
     _assert_all_rings(agents)
-    assert len(columnar_store_of(sim)._charges) <= MAX_QUEUED_CHARGE_RUNS + 2
     expected = 0.0
     for _ in range(agents[0].samples_taken):
         for c in charges:

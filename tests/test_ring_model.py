@@ -3,7 +3,7 @@
 A Hypothesis state machine drives a
 :class:`~repro.columnar.store.ColumnarRing` over a real
 :class:`~repro.columnar.store.TickLog` and a
-:class:`~repro.monitor.buffer.CircularBuffer` through the same
+:class:`~tests.ring_reference.CircularBuffer` through the same
 operations — ticks with and without a new sample template, flushes,
 JSON snapshot → restore (with and without a wipe first) and range
 queries — and asserts that both answer every read the same way.
@@ -26,7 +26,7 @@ from hypothesis.stateful import (
 )
 
 from repro.columnar.store import ColumnarRing, TickLog
-from repro.monitor.buffer import CircularBuffer
+from tests.ring_reference import CircularBuffer
 
 #: Sensor granularity of the modelled node; coarser than some tick
 #: steps, so wire timestamps differ from raw tick times.

@@ -2,7 +2,9 @@
 # Pre-merge verification flow (see docs/testing.md).
 #
 # Stages, each independently runnable via STAGES="..." (space-separated):
-#   tier1    - the full test suite, fail-fast
+#   tier1    - the full test suite, fail-fast, then the sample-ring
+#              microbenchmarks (benchmarks/test_monitor_buffer.py) with
+#              timing disabled, so their assertions run on every commit
 #   shuffle  - the same suite in a seeded shuffled order (state-leak canary)
 #   cov      - tier-1 under pytest-cov with a fail-under gate; skipped with a
 #              notice when pytest-cov is not importable (it is an optional
@@ -79,6 +81,8 @@ for stage in $STAGES; do
         tier1)
             banner "tier-1: full suite"
             python -m pytest -x -q
+            banner "tier-1: ring microbenchmarks (timing disabled)"
+            python -m pytest -q benchmarks/test_monitor_buffer.py --benchmark-disable
             ;;
         shuffle)
             banner "shuffled order (seed $REPRO_SHUFFLE_SEED): state-leak canary"
