@@ -40,7 +40,7 @@ gains ``federation_*`` metrics (see docs/observability.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import PowerManagedCluster
@@ -281,9 +281,7 @@ class FederatedSite:
         manager = self.clusters[name].manager
         if manager is None:  # pragma: no cover - specs always load one
             return
-        root = manager.cluster
-        root.config = replace(root.config, global_cap_w=share_w)
-        root._recompute()
+        manager.cluster.set_budget(share_w)
 
     def _rebalance(self, reason: str = "epoch") -> None:
         live = self.live_clusters

@@ -189,9 +189,6 @@ class NVMLDriver:
         self.failures = 0
         self.requests = 0
 
-    def gpu_count(self) -> int:
-        return len(self._gpus)
-
     def get_power_limit(self, index: int) -> Optional[float]:
         return self._gpus[index].get_cap(self.CAP_SOURCE)
 
@@ -286,9 +283,6 @@ class RAPLDriver:
 
     def __init__(self, cpu_domains: List[PowerDomain]) -> None:
         self._cpus = cpu_domains
-
-    def socket_count(self) -> int:
-        return len(self._cpus)
 
     def set_socket_power_cap(self, index: int, watts: float) -> float:
         dom = self._cpus[index]

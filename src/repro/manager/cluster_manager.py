@@ -10,6 +10,8 @@ departure it recomputes power shares:
   power; if the budget does not cover that, redistribute to *all* jobs
   proportionally to node count — per-node allocation
   ``P_n = P_G / (N_k + N_i)``, a new job receiving ``N_i * P_n``.
+  On a tenant cluster the same split is fairshare-weighted per job
+  (:func:`repro.tenancy.fairshare.split_budget_weighted`).
 
 A configured static node cap (IBM OPAL on Lassen) is installed by every
 node manager at load time; this is the Table III/IV "static" baseline
@@ -18,7 +20,7 @@ and also the hard backstop above the dynamic policies.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.flux.broker import Broker
@@ -94,12 +96,9 @@ class ClusterLevelManager(Module):
         self.job_level = JobLevelManager(broker)
         #: (time, total_active_nodes, per_node_share_w) — Fig 5 series.
         self.share_log: List[tuple] = []
-        #: Optional fairshare hook installed by the tenancy tier
-        #: (:class:`repro.tenancy.coordinator.TenancyCoordinator`):
-        #: ``splitter(budget_w, {jobid: nodes}, node_peak_w) ->
-        #: {jobid: job_limit_w}``. When None (the default) the manager
-        #: runs the paper's anonymous proportional split untouched.
-        self.share_splitter = None
+        #: ``job_weights({jobid: nodes}) -> {jobid: weight}``, installed
+        #: by the tenancy tier; None (anonymous) means equal weights.
+        self.job_weights = None
         #: Per-rank lifecycle: only AVAILABLE ranks are booked into new
         #: jobs' power shares. The scheduler does not track broker
         #: liveness, so a job can start on a rank whose management plane
@@ -139,10 +138,10 @@ class ClusterLevelManager(Module):
                 ).inc(dropped)
             if ranks:
                 self.job_level.job_started(jobid, ranks)
-            self._recompute()
+            self.recompute()
         elif state in ("completed", "cancelled"):
             self.job_level.job_ended(jobid)
-            self._recompute()
+            self.recompute()
 
     def _on_broker_event(self, msg: Message) -> None:
         """React to node death: reclaim its share in one recompute.
@@ -184,7 +183,7 @@ class ClusterLevelManager(Module):
             dead_rank=rank, affected_jobs=len(affected),
         )
         if affected:
-            self._recompute()
+            self.recompute()
 
     # ------------------------------------------------------------------
     # Operator lifecycle controls
@@ -202,7 +201,7 @@ class ClusterLevelManager(Module):
         for jobid in affected:
             self.broker.rpc(rank, JOB_DEPARTED_TOPIC, {"jobid": jobid})
         if affected:
-            self._recompute()
+            self.recompute()
 
     def begin_maintenance(self, rank: int, reason: str = "maintenance") -> None:
         """Drain a rank for planned service: AVAILABLE → MAINTENANCE."""
@@ -298,7 +297,13 @@ class ClusterLevelManager(Module):
         budget = self.effective_budget_w()
         return per_node_share(budget, total_nodes, self.config.node_peak_w)
 
-    def _recompute(self) -> None:
+    def set_budget(self, global_cap_w: Optional[float]) -> None:
+        """Install a new cluster budget (None: uncapped) and re-split it."""
+        self.config = replace(self.config, global_cap_w=global_cap_w)
+        self.recompute()
+
+    def recompute(self) -> None:
+        """Re-split the budget into job limits and push them down."""
         if self.config.policy == "static":
             # Static deployments never push dynamic shares; the OPAL
             # node cap installed at load time is the entire policy.
@@ -328,27 +333,24 @@ class ClusterLevelManager(Module):
             "manager",
             MANAGER_RECOMPUTE_COST_PER_JOB_S * max(1, len(self.job_level.jobs)),
         )
-        # Fairshare hook: when the tenancy tier installed a splitter and
-        # the cluster is capped with active jobs, job limits come from
-        # the weighted water-fill instead of the flat share. With the
-        # hook absent (every anonymous deployment) this is the exact
-        # historical code path, byte for byte.
-        weighted: Optional[Dict[int, float]] = None
-        if self.share_splitter is not None and share is not None:
-            weighted = self.share_splitter(
+        limits: Dict[int, float] = {}
+        if share is not None:
+            # With no weight source this is bitwise ``share × nodes``.
+            # Imported here: repro.tenancy imports this module.
+            from repro.tenancy.fairshare import split_budget_weighted
+
+            job_nodes = {
+                jobid: len(state.ranks)
+                for jobid, state in self.job_level.jobs.items()
+            }
+            limits = split_budget_weighted(
                 self.effective_budget_w(),
-                {
-                    jobid: len(state.ranks)
-                    for jobid, state in self.job_level.jobs.items()
-                },
+                job_nodes,
                 self.config.node_peak_w,
+                None if self.job_weights is None else self.job_weights(job_nodes),
             )
-        for jobid, state in list(self.job_level.jobs.items()):
-            if weighted is not None:
-                job_limit: Optional[float] = weighted.get(jobid, 0.0)
-            else:
-                job_limit = None if share is None else share * len(state.ranks)
-            self.job_level.assign(jobid, job_limit)
+        for jobid in list(self.job_level.jobs):
+            self.job_level.assign(jobid, limits.get(jobid))
 
     # ------------------------------------------------------------------
     # Introspection

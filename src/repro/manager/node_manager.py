@@ -19,7 +19,8 @@ of :data:`CAP_CLASSES`) — so GPUs and CPU sockets share one path:
 ``device_count``, ``cap_range``, ``other_power_w``, ``derive_share``,
 ``set_cap``, ``clear_caps`` and the tracker's per-device readings
 ``device_w``. An unknown domain
-raises :class:`ValueError`.
+raises :class:`ValueError`. Caps are written and cleared only through
+Variorum's per-device dials; the vendor backend picks the driver.
 
 Units at this interface are uniform: every power quantity is **watts**
 — node limits (whole node), device caps (one GPU / one socket), and
@@ -40,7 +41,6 @@ from repro import variorum
 from repro.flux.broker import Broker
 from repro.flux.message import Message
 from repro.flux.module import Module
-from repro.hardware.firmware import CappingError
 from repro.manager.policies.base import PowerPolicy
 from repro.telemetry import MANAGER_TRACK_COST_S
 
@@ -56,40 +56,6 @@ STATUS_TOPIC = "power-manager.status"
 PEAK_WINDOW = 16
 
 
-def _write_gpu_cap(node, index: int, watts: float) -> None:
-    if node.nvml is not None:
-        node.nvml.set_power_limit(index, watts)
-    elif node.esmi is not None:
-        # OAM domains are the cappable unit on AMD.
-        node.esmi.set_oam_power_cap(index, watts)
-    else:
-        raise CappingError("no GPU capping driver on this platform")
-
-
-def _clear_gpu_caps(node) -> None:
-    if node.nvml is not None:
-        node.nvml.clear_all()
-
-
-def _write_socket_cap(node, index: int, watts: float) -> None:
-    if node.rapl is not None:
-        node.rapl.set_socket_power_cap(index, watts)
-    elif node.esmi is not None:
-        node.esmi.set_socket_power_cap(index, watts)
-    elif node.cpu_domains:
-        # IBM path: socket caps through the service processor.
-        node.cpu_domains[index].set_cap("socket-manager", watts)
-    else:
-        raise CappingError("no CPU capping driver on this platform")
-
-
-def _clear_socket_caps(node) -> None:
-    for dom in node.cpu_domains:
-        dom.set_cap("socket-manager", None)
-        if node.rapl is not None:
-            dom.set_cap(node.rapl.CAP_SOURCE, None)
-
-
 @dataclass(frozen=True)
 class CapClass:
     """Everything that differs between two cappable device classes."""
@@ -99,11 +65,6 @@ class CapClass:
     #: Activity margin (W) over the idle floor of the other-power
     #: estimate before any measurement arrives.
     idle_margin_w: float
-    #: ``write(node, index, watts)`` through the platform driver;
-    #: raises :class:`CappingError` when the platform refuses.
-    write: Callable
-    #: ``clear(node)``: drop every cap this class's writes installed.
-    clear: Callable
     #: Counter of successful writes, and its help text.
     metric: str
     metric_help: str
@@ -116,8 +77,6 @@ CAP_CLASSES: Dict[str, CapClass] = {
     "gpu": CapClass(
         devices=attrgetter("gpu_domains"),
         idle_margin_w=150.0,
-        write=_write_gpu_cap,
-        clear=_clear_gpu_caps,
         metric="manager_gpu_cap_sets_total",
         metric_help="GPU power-cap writes through the platform drivers",
         window_key="recent_non_gpu",
@@ -125,8 +84,6 @@ CAP_CLASSES: Dict[str, CapClass] = {
     "socket": CapClass(
         devices=attrgetter("cpu_domains"),
         idle_margin_w=30.0,
-        write=_write_socket_cap,
-        clear=_clear_socket_caps,
         metric="manager_socket_cap_sets_total",
         metric_help="CPU socket power-cap writes through the platform drivers",
         window_key="recent_non_cpu",
@@ -283,10 +240,11 @@ class NodeManagerModule(Module):
     # Cap dials
     # ------------------------------------------------------------------
     def set_cap(self, domain: str, index: int, watts: float) -> None:
-        """Set one device's cap (watts) through the platform driver.
+        """Set one device's cap (watts) through Variorum.
 
         Clamped into the device capping range; idempotent (repeat
-        writes of the installed value are not re-issued to the driver).
+        writes of the *requested* value are not re-issued, even when
+        NVML misbehaved and holds another; Section V).
         """
         cls = _lookup(CAP_CLASSES, domain)
         lo, hi = self.cap_range(domain)
@@ -295,12 +253,12 @@ class NodeManagerModule(Module):
         if last[index] == watts:
             return
         try:
-            cls.write(self.broker.node, index, watts)
+            variorum.cap_device_power_limit(self.broker.node, domain, index, watts)
             last[index] = watts
             self.broker.telemetry.metrics.counter(
                 cls.metric, help=cls.metric_help
             ).inc()
-        except CappingError:
+        except variorum.VariorumError:
             self.cap_request_failures += 1
             self.broker.telemetry.metrics.counter(
                 "manager_cap_failures_total",
@@ -308,8 +266,9 @@ class NodeManagerModule(Module):
             ).inc()
 
     def clear_caps(self, domain: str) -> None:
-        _lookup(CAP_CLASSES, domain).clear(self.broker.node)
-        self._last_caps[domain] = [None] * self.device_count(domain)
+        n = self.device_count(domain)
+        variorum.clear_device_power_limits(self.broker.node, domain)
+        self._last_caps[domain] = [None] * n
 
     def enforce_limit_via_gpus(self, node_limit_w: float) -> None:
         """Uniformly cap all GPUs so the node fits its limit."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.flux.scheduler import Scheduler
+from repro.manager.policies.proportional import per_node_share
 
 
 class PowerAwareScheduler(Scheduler):
@@ -65,7 +66,7 @@ class PowerAwareScheduler(Scheduler):
         total = self._busy_nodes() + extra_nodes
         if total <= 0:
             return self.node_peak_w
-        return min(self.node_peak_w, self.global_cap_w / total)
+        return per_node_share(self.global_cap_w, total, self.node_peak_w)
 
     def pick_next(self, queue: List[int], requests: Dict[int, int]) -> Optional[int]:
         jobid = super().pick_next(queue, requests)

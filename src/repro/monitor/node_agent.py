@@ -129,7 +129,9 @@ class NodeAgentModule(Module):
         """Write the per-rank occupancy/drop gauges from buffer state.
 
         Last-write-wins, so the sampler defers these to its flush
-        without changing any exported value.
+        without changing any exported value. Drops are the samples
+        appended beyond the ring's capacity: a clear's flushed samples
+        were not lost to wrap, so they do not count.
         """
         if self._g_occupancy is None:
             metrics = self.broker.telemetry.metrics
@@ -143,9 +145,8 @@ class NodeAgentModule(Module):
                 help="samples lost to ring wrap on this node agent",
             )
         buf = self.buffer
-        retained = len(buf)
-        self._g_occupancy.set(retained)
-        self._g_dropped.set(buf.total_appended - retained)
+        self._g_occupancy.set(len(buf))
+        self._g_dropped.set(max(0, buf.total_appended - buf.capacity))
 
     # ------------------------------------------------------------------
     # Crash recovery (see repro.lifecycle.snapshot)

@@ -25,7 +25,7 @@ they can only *observe* a divergence, never cause one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import PowerManagedCluster
@@ -408,14 +408,9 @@ def run_scenario(
             cluster.submit_at(spec, entry.submit_t)
 
     # Budget schedule ----------------------------------------------------
-    def _retune(new_cap_w: float) -> None:
-        root = cluster.manager.cluster
-        root.config = replace(root.config, global_cap_w=new_cap_w)
-        root._recompute()
-
     if scenario.budget_schedule and cluster.manager is not None:
         for t, cap in scenario.budget_schedule:
-            sim.schedule_at(t, _retune, cap)
+            sim.schedule_at(t, cluster.manager.cluster.set_budget, cap)
 
     # Invariant tick, run, end-of-run checks ------------------------------
     jm = cluster.instance.jobmanager

@@ -634,13 +634,13 @@ class ServingViewChecker(InvariantChecker):
 class TenantConservationChecker(InvariantChecker):
     """Installed job limits match the weighted water-fill, recomputed.
 
-    Active only when the cluster carries a tenancy coordinator with the
-    fairshare splitter installed; a no-op otherwise. The checker reruns
-    :func:`~repro.tenancy.fairshare.split_budget_weighted` over the
-    manager's live books and the coordinator's cached weights — the
-    same pure inputs the manager's ``_recompute`` used — so any drift
-    (a buggy splitter, a stale weight cache, a missed recompute) shows
-    up as a per-job mismatch or a conservation breach.
+    Active only when the cluster carries a tenancy coordinator whose
+    weight source is installed on the manager; a no-op otherwise. The
+    checker reruns :func:`~repro.tenancy.fairshare.split_budget_weighted`
+    over the manager's live books and the coordinator's cached weights —
+    the same pure inputs the manager's ``recompute`` used — so any drift
+    (a buggy weight source, a stale weight cache, a missed recompute)
+    shows up as a per-job mismatch or a conservation breach.
     """
 
     name = "tenant_conservation"
@@ -651,7 +651,7 @@ class TenantConservationChecker(InvariantChecker):
         if coord is None or manager is None:
             return []
         root = manager.cluster
-        if root.share_splitter is None or root.config.policy == "static":
+        if root.job_weights is None or root.config.policy == "static":
             return []
         if root.config.global_cap_w is None:
             return []
@@ -727,7 +727,7 @@ class TenantFloorChecker(InvariantChecker):
         if coord is None or manager is None:
             return []
         root = manager.cluster
-        if root.share_splitter is None or root.config.policy == "static":
+        if root.job_weights is None or root.config.policy == "static":
             return []
         if root.config.global_cap_w is None or root.per_node_share_w() is None:
             return []

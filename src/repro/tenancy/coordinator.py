@@ -13,9 +13,9 @@ and does four things, all deterministically in simulated time:
   the manager granted, not what the devices happened to draw) into a
   decaying :class:`~repro.tenancy.accounting.UsageLedger`;
 * **fairshare** — the tick refreshes per-project effective weights and
-  installs :func:`~repro.tenancy.fairshare.split_budget_weighted` as
-  the cluster manager's ``share_splitter``, so job power limits track
-  fairshare rather than flat node counts;
+  installs :meth:`TenancyCoordinator.job_weights` as the cluster
+  manager's weight source, so job power limits track fairshare rather
+  than flat node counts;
 * **telemetry** — ``tenant_*`` gauges/counters per tick and decision,
   plus a deterministic accounting CSV export (same seed → same bytes).
 """
@@ -41,7 +41,6 @@ from repro.tenancy.admission import (
     AdmissionDecision,
     decide,
 )
-from repro.tenancy.fairshare import split_budget_weighted
 from repro.tenancy.model import TenantDirectory, UNAFFILIATED
 
 #: Columns of the accounting CSV export, in order.
@@ -119,7 +118,7 @@ class TenancyCoordinator:
         self.directory = config.directory
         self.ledger = UsageLedger(half_life_s=config.half_life_s)
         #: Cached per-project effective weights; refreshed every
-        #: accounting tick, read by the share splitter in between so
+        #: accounting tick, read by the manager's split in between so
         #: allocation is a pure function of the last tick's state.
         self._weights: Dict[str, float] = {
             p: self.directory.base_weight(p) for p in self.directory.projects()
@@ -136,7 +135,7 @@ class TenancyCoordinator:
 
         root = self._root()
         if root is not None:
-            root.share_splitter = self._split
+            root.job_weights = self.job_weights
         self._tick_event = cluster.sim.schedule_periodic(
             config.accounting_interval_s,
             self._accounting_tick,
@@ -182,7 +181,7 @@ class TenancyCoordinator:
 
     def job_weights(self, job_nodes) -> Dict[int, float]:
         """Fairshare weight per job: its project's cached effective
-        weight (the value the splitter and the checkers both use)."""
+        weight (what the manager's split and the checkers both use)."""
         return {
             jobid: self._weights.get(self.project_of_job(jobid), 1.0)
             for jobid in job_nodes
@@ -190,14 +189,6 @@ class TenancyCoordinator:
 
     def project_weights(self) -> Dict[str, float]:
         return dict(self._weights)
-
-    # ------------------------------------------------------------------
-    # Fairshare split (installed as the manager's share_splitter)
-    # ------------------------------------------------------------------
-    def _split(self, budget_w, job_nodes, node_peak_w) -> Dict[int, float]:
-        return split_budget_weighted(
-            budget_w, job_nodes, node_peak_w, self.job_weights(job_nodes)
-        )
 
     # ------------------------------------------------------------------
     # Admission
@@ -396,7 +387,7 @@ class TenancyCoordinator:
         # Re-fill job limits under the refreshed weights.
         root = self._root()
         if root is not None and root.config.policy != "static":
-            root._recompute()
+            root.recompute()
 
     # ------------------------------------------------------------------
     # Views / export

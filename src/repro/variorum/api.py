@@ -1,4 +1,4 @@
-"""The three Variorum entry points, dispatched by platform vendor."""
+"""The Variorum entry points, dispatched by platform vendor."""
 
 from __future__ import annotations
 
@@ -7,10 +7,7 @@ from typing import Dict, List
 
 from repro.hardware.node import Node
 from repro.variorum.backends import get_backend
-
-
-class VariorumError(RuntimeError):
-    """A Variorum call failed (unsupported feature, firmware rejection)."""
+from repro.variorum.backends.base import VariorumError
 
 
 def get_node_power_json(node: Node, timestamp: float) -> Dict[str, object]:
@@ -57,6 +54,20 @@ def cap_each_gpu_power_limit(node: Node, watts: float) -> List[float]:
     """
     backend = get_backend(node.spec.vendor)
     return backend.cap_each_gpu_power_limit(node, float(watts))
+
+
+def cap_device_power_limit(
+    node: Node, domain: str, index: int, watts: float
+) -> float:
+    """Cap GPU/OAM (``domain="gpu"``) or CPU socket (``"socket"``)
+    ``index``; returns the cap in force or raises :class:`VariorumError`."""
+    backend = get_backend(node.spec.vendor)
+    return backend.cap_device_power_limit(node, domain, index, float(watts))
+
+
+def clear_device_power_limits(node: Node, domain: str) -> None:
+    """Remove every cap :func:`cap_device_power_limit` set on ``domain``."""
+    get_backend(node.spec.vendor).clear_device_power_limits(node, domain)
 
 
 def sample_wire_bytes(node: Node) -> "int | None":

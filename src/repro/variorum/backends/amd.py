@@ -8,11 +8,16 @@ users on the early-access system, so cap calls raise.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.hardware.domains import DomainKind
 from repro.hardware.node import Node
-from repro.variorum.backends.base import Backend
+from repro.variorum.backends.base import (
+    Backend,
+    VariorumError,
+    clear_source,
+    driver_call,
+)
 
 
 class AMDBackend(Backend):
@@ -31,12 +36,8 @@ class AMDBackend(Backend):
     def cap_best_effort_node_power_limit(
         self, node: Node, watts: float
     ) -> Dict[str, object]:
-        from repro.variorum.api import VariorumError
-
         # No hardware node dial on AMD: distribute uniformly across
         # sockets, remainder across OAMs — if the driver lets us.
-        if node.esmi is None:
-            raise VariorumError(f"{node.hostname}: no E-SMI driver")
         cpus = node.by_kind(DomainKind.CPU)
         oams = node.by_kind(DomainKind.OAM)
         if cpus:
@@ -48,13 +49,10 @@ class AMDBackend(Backend):
             # host CPU socket; the whole budget goes to the packages.
             cpu_share = 0.0
         per_oam = (watts - cpu_share * len(cpus)) / max(len(oams), 1)
-        try:
-            for i in range(len(cpus)):
-                node.esmi.set_socket_power_cap(i, cpu_share)
-            for i in range(len(oams)):
-                node.esmi.set_oam_power_cap(i, per_oam)
-        except Exception as exc:
-            raise VariorumError(str(exc)) from exc
+        for i in range(len(cpus)):
+            self.cap_device_power_limit(node, "socket", i, cpu_share)
+        for i in range(len(oams)):
+            self.cap_device_power_limit(node, "gpu", i, per_oam)
         return {
             "method": "esmi_split",
             "socket_cap_watts": cpu_share,
@@ -62,18 +60,16 @@ class AMDBackend(Backend):
             "best_effort": True,
         }
 
-    def cap_each_gpu_power_limit(self, node: Node, watts: float) -> List[float]:
-        from repro.variorum.api import VariorumError
-
+    def cap_device_power_limit(
+        self, node: Node, domain: str, index: int, watts: float
+    ) -> float:
         if node.esmi is None:
-            raise VariorumError(f"{node.hostname}: no ROCm-SMI path")
-        oams = node.by_kind(DomainKind.OAM)
-        caps: List[float] = []
-        try:
-            # A per-GPU (GCD) cap translates to 2x at the OAM dial.
-            per_oam = watts * node.spec.gpus_per_telemetry_domain
-            for i in range(len(oams)):
-                caps.append(node.esmi.set_oam_power_cap(i, per_oam))
-        except Exception as exc:
-            raise VariorumError(str(exc)) from exc
-        return caps
+            raise VariorumError(f"{node.hostname}: no E-SMI driver")
+        esmi = node.esmi  # OAM packages are the cappable GPU unit
+        write = esmi.set_oam_power_cap if domain == "gpu" else esmi.set_socket_power_cap
+        return driver_call(write, index, watts)
+
+    def clear_device_power_limits(self, node: Node, domain: str) -> None:
+        if node.esmi is not None:
+            devices = node.gpu_domains if domain == "gpu" else node.cpu_domains
+            clear_source(devices, node.esmi.CAP_SOURCE)

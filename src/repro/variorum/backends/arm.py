@@ -7,11 +7,11 @@ parity with the paper's claim of Intel/AMD/IBM/ARM/NVIDIA support.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.hardware.domains import DomainKind
 from repro.hardware.node import Node
-from repro.variorum.backends.base import Backend
+from repro.variorum.backends.base import Backend, VariorumError
 
 
 class ARMBackend(Backend):
@@ -31,11 +31,4 @@ class ARMBackend(Backend):
     def cap_best_effort_node_power_limit(
         self, node: Node, watts: float
     ) -> Dict[str, object]:
-        from repro.variorum.api import VariorumError
-
         raise VariorumError("power capping not supported on this ARM platform")
-
-    def cap_each_gpu_power_limit(self, node: Node, watts: float) -> List[float]:
-        from repro.variorum.api import VariorumError
-
-        raise VariorumError("GPU power capping not supported on this ARM platform")

@@ -1,4 +1,4 @@
-"""Backend interface and shared telemetry helpers."""
+"""Backend interface, shared telemetry helpers and the per-device dials."""
 
 from __future__ import annotations
 
@@ -7,8 +7,27 @@ from typing import Dict, List, Tuple
 
 from repro.flux.message import estimate_payload_bytes
 from repro.hardware.domains import DomainKind
+from repro.hardware.firmware import CappingError
 from repro.hardware.node import Node
 from repro.hardware.sensors import SensorReading
+
+
+class VariorumError(RuntimeError):
+    """A Variorum call failed (unsupported feature, firmware rejection)."""
+
+
+def driver_call(write, *args):
+    """Run one driver write; a firmware refusal becomes :class:`VariorumError`."""
+    try:
+        return write(*args)
+    except CappingError as exc:
+        raise VariorumError(str(exc)) from exc
+
+
+def clear_source(domains, source: str) -> None:
+    """Remove ``source``'s cap from every domain in ``domains``."""
+    for dom in domains:
+        dom.set_cap(source, None)
 
 
 class TelemetryPlan:
@@ -61,7 +80,8 @@ class TelemetryPlan:
 
 
 class Backend:
-    """One vendor's implementation of the three Variorum calls."""
+    """One vendor's Variorum calls: the only code that knows which
+    driver caps which device (the base class caps nothing)."""
 
     vendor: str = "base"
 
@@ -73,8 +93,24 @@ class Backend:
     ) -> Dict[str, object]:
         raise NotImplementedError
 
+    def cap_device_power_limit(
+        self, node: Node, domain: str, index: int, watts: float
+    ) -> float:
+        raise VariorumError(
+            f"{node.hostname}: no {domain} capping driver on {self.vendor}"
+        )
+
+    def clear_device_power_limits(self, node: Node, domain: str) -> None:
+        """Nothing to clear where nothing can be capped."""
+
     def cap_each_gpu_power_limit(self, node: Node, watts: float) -> List[float]:
-        raise NotImplementedError
+        """The same per-GPU cap on every GPU, scaled to the cappable
+        domain (an AMD OAM carries two GCDs); returns the caps in force."""
+        n = len(node.gpu_domains)
+        if n == 0:
+            raise VariorumError(f"{node.hostname}: no cappable GPUs")
+        watts *= node.spec.gpus_per_telemetry_domain
+        return [self.cap_device_power_limit(node, "gpu", i, watts) for i in range(n)]
 
     # ------------------------------------------------------------------
     # Shared helpers

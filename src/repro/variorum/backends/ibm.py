@@ -1,18 +1,21 @@
-"""IBM backend: OCC telemetry + OPAL node capping + NVML GPU capping."""
+"""IBM backend: OCC telemetry, OPAL node capping, NVML GPU capping and
+socket capping through the service processor."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.hardware.domains import DomainKind
 from repro.hardware.node import Node
-from repro.variorum.backends.base import Backend
+from repro.variorum.backends.base import Backend, clear_source, driver_call
 
 
 class IBMBackend(Backend):
     """AC922 (Power9 + V100) platforms — the Lassen path."""
 
     vendor = "ibm"
+
+    SOCKET_CAP_SOURCE = "socket-manager"
 
     _KEY_STEMS = {
         DomainKind.CPU: "power_cpu_watts_socket",
@@ -46,12 +49,17 @@ class IBMBackend(Backend):
             "best_effort": watts < node.opal.hard_min_w,
         }
 
-    def cap_each_gpu_power_limit(self, node: Node, watts: float) -> List[float]:
-        from repro.variorum.api import VariorumError
+    def cap_device_power_limit(
+        self, node: Node, domain: str, index: int, watts: float
+    ) -> float:
+        if domain == "gpu":
+            return driver_call(node.nvml.set_power_limit, index, watts)
+        dom = node.cpu_domains[index]
+        dom.set_cap(self.SOCKET_CAP_SOURCE, watts)
+        return dom.get_cap(self.SOCKET_CAP_SOURCE)
 
-        if node.nvml is None or node.nvml.gpu_count() == 0:
-            raise VariorumError(f"{node.hostname}: no NVML-cappable GPUs")
-        try:
-            return node.nvml.set_all(watts)
-        except Exception as exc:
-            raise VariorumError(str(exc)) from exc
+    def clear_device_power_limits(self, node: Node, domain: str) -> None:
+        if domain == "gpu":
+            node.nvml.clear_all()
+        else:
+            clear_source(node.cpu_domains, self.SOCKET_CAP_SOURCE)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.hardware.domains import DomainKind
 from repro.hardware.node import Node
-from repro.variorum.backends.base import Backend
+from repro.variorum.backends.base import (
+    Backend,
+    VariorumError,
+    clear_source,
+    driver_call,
+)
 
 
 class IntelBackend(Backend):
@@ -26,8 +31,6 @@ class IntelBackend(Backend):
     def cap_best_effort_node_power_limit(
         self, node: Node, watts: float
     ) -> Dict[str, object]:
-        from repro.variorum.api import VariorumError
-
         if node.rapl is None:
             raise VariorumError(f"{node.hostname}: no RAPL driver")
         cpus = node.by_kind(DomainKind.CPU)
@@ -68,12 +71,17 @@ class IntelBackend(Backend):
             result["gpu_cap_watts"] = per_gpu
         return result
 
-    def cap_each_gpu_power_limit(self, node: Node, watts: float) -> List[float]:
-        from repro.variorum.api import VariorumError
+    def cap_device_power_limit(
+        self, node: Node, domain: str, index: int, watts: float
+    ) -> float:
+        if domain == "socket":
+            return driver_call(node.rapl.set_socket_power_cap, index, watts)
+        if node.nvml is None:
+            raise VariorumError(f"{node.hostname}: no GPU capping driver")
+        return driver_call(node.nvml.set_power_limit, index, watts)
 
-        if node.nvml is None or node.nvml.gpu_count() == 0:
-            raise VariorumError(f"{node.hostname}: no cappable GPUs")
-        try:
-            return node.nvml.set_all(watts)
-        except Exception as exc:
-            raise VariorumError(str(exc)) from exc
+    def clear_device_power_limits(self, node: Node, domain: str) -> None:
+        if domain == "socket":
+            clear_source(node.cpu_domains, node.rapl.CAP_SOURCE)
+        elif node.nvml is not None:
+            node.nvml.clear_all()

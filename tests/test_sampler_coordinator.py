@@ -103,4 +103,23 @@ def test_clear_is_the_last_write_to_a_shared_rank_gauge():
     dropped = first.telemetry.metrics.gauge(
         "monitor_buffer_dropped", labels={"rank": "0"}
     )
-    assert dropped.value == 3
+    # Flushed samples were not lost to ring wrap.
+    assert dropped.value == 0
+
+
+def test_clear_after_wrap_keeps_the_wrap_count():
+    """The dropped gauge counts samples lost to ring wrap: a clear
+    neither resets that count nor adds the flushed samples to it."""
+    inst = FluxInstance(platform="lassen", n_nodes=1, seed=1)
+    attach_monitor(inst, sample_interval_s=2.0, buffer_capacity=3)
+    inst.run_for(9.0)  # samples at 0, 2, 4, 6, 8: two wrapped out
+    inst.telemetry.metrics.flush()  # write the deferred gauges
+    dropped = inst.telemetry.metrics.gauge(
+        "monitor_buffer_dropped", labels={"rank": "0"}
+    )
+    assert dropped.value == 2
+    fut = inst.brokers[0].rpc(0, "power-monitor.clear", {})
+    inst.run_for(0.5)
+    assert fut.value["flushed"] == 3
+    assert _occupancy(inst)["0"] == 0
+    assert dropped.value == 2

@@ -21,7 +21,6 @@ from repro.simtest.invariants import default_checkers
 from repro.simtest.scenario import GeneratorConfig, Scenario, TenantMix, generate_scenario
 from repro.simtest.shrink import make_oracle, shrink_scenario
 from repro.tenancy.coordinator import TenancyCoordinator
-from repro.tenancy.fairshare import split_budget_weighted
 
 TENANTED = GeneratorConfig(p_tenancy=1.0)
 ANONYMOUS = GeneratorConfig(p_tenancy=0.0)
@@ -98,21 +97,27 @@ def test_smoke_batch_forced_tenancy_clean():
 
 
 def test_planted_fairshare_bug_is_caught_and_shrunk(monkeypatch):
-    """Self-check: a deliberately biased splitter (one project's weight
-    inflated after the checker's own snapshot) trips the
-    tenant_conservation invariant, and the shrinker hands back a
-    smaller scenario that still reproduces it."""
+    """Self-check: a deliberately biased weight source on the manager
+    (one project's weight inflated after the checker's own snapshot)
+    trips the tenant_conservation invariant, and the shrinker hands back
+    a smaller scenario that still reproduces it."""
+    install = TenancyCoordinator.__init__
 
-    def biased_split(self, budget_w, job_nodes, node_peak_w):
-        weights = self.job_weights(job_nodes)
-        if weights:
-            first = sorted(weights)[0]
-            weights[first] = weights[first] + 1.0
-        return split_budget_weighted(
-            budget_w, job_nodes, node_peak_w, weights
-        )
+    def install_biased_weights(self, cluster, config):
+        install(self, cluster, config)
 
-    monkeypatch.setattr(TenancyCoordinator, "_split", biased_split)
+        def biased(job_nodes):
+            weights = self.job_weights(job_nodes)
+            if weights:
+                first = sorted(weights)[0]
+                weights[first] = weights[first] + 1.0
+            return weights
+
+        root = self._root()
+        if root is not None:
+            root.job_weights = biased
+
+    monkeypatch.setattr(TenancyCoordinator, "__init__", install_biased_weights)
     violation = None
     scenario = None
     for seed in range(8):

@@ -53,8 +53,8 @@ def _capped_cluster(
 
 
 def test_tenancy_off_by_default():
-    """Anonymous deployments carry no coordinator and no splitter —
-    the historical code path, untouched."""
+    """Anonymous deployments carry no coordinator and no weight
+    source: the manager's split runs with equal weights."""
     cluster = PowerManagedCluster(
         platform="lassen",
         n_nodes=4,
@@ -66,7 +66,7 @@ def test_tenancy_off_by_default():
         ),
     )
     assert cluster.tenancy is None
-    assert cluster.manager.cluster.share_splitter is None
+    assert cluster.manager.cluster.job_weights is None
 
 
 def test_coordinator_installed_and_wired():
@@ -74,7 +74,7 @@ def test_coordinator_installed_and_wired():
     coord = cluster.tenancy
     assert isinstance(coord, TenancyCoordinator)
     root = cluster.manager.cluster
-    assert root.share_splitter is not None
+    assert root.job_weights == coord.job_weights
     assert not coord.admission_enabled  # no AdmissionConfig here
     assert coord.project_weights()["astro"] == 4.0
 

@@ -26,7 +26,8 @@
 #              then a forced-tenancy fuzz batch under the tenant
 #              invariant checkers (see docs/tenancy.md)
 #   hostbench - one untraced run of every host-time benchmark workload
-#              at seed 0, plus fpp_site at the held-out seed 4242; each
+#              at seed 0, plus fpp_site and serve_tenants (the manager's
+#              weighted job split) at the held-out seed 4242; each
 #              must report "correct": true on its last stdout line (the
 #              runner exits 0 even on an incorrect run), which pins the
 #              site digest, events and counters to hostbench/expected.json
@@ -161,7 +162,7 @@ for stage in $STAGES; do
             python -m repro.cli tenants --seeds "$REPRO_TENANCY_SEEDS"
             ;;
         hostbench)
-            for run in telemetry_10k:0 fpp_site:0 serve_tenants:0 fpp_site:4242; do
+            for run in telemetry_10k:0 fpp_site:0 serve_tenants:0 fpp_site:4242 serve_tenants:4242; do
                 workload="${run%%:*}"
                 seed="${run##*:}"
                 banner "hostbench: $workload seed $seed must be correct"
