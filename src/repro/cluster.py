@@ -87,13 +87,9 @@ class PowerManagedCluster:
         fpp_params=None,
         monitor_interval_s: float = 2.0,
         trace: bool = True,
-        trace_interval_s: float = 2.0,
         enable_jitter: bool = False,
         nvml_failure_rate: float = 0.0,
-        sensor_noise_sigma_w: float = 0.0,
         fanout: int = 2,
-        app_dt: float = 1.0,
-        backfill: bool = False,
         scheduler_factory=None,
         telemetry_enabled: bool = True,
         fault_plan: Optional[FaultPlan] = None,
@@ -112,9 +108,6 @@ class PowerManagedCluster:
             hostname_prefix=hostname_prefix,
             enable_jitter=enable_jitter,
             nvml_failure_rate=nvml_failure_rate,
-            sensor_noise_sigma_w=sensor_noise_sigma_w,
-            app_dt=app_dt,
-            backfill=backfill,
             scheduler_factory=scheduler_factory,
             telemetry_enabled=telemetry_enabled,
         )
@@ -133,7 +126,7 @@ class PowerManagedCluster:
             )
         self.trace: Optional[ClusterPowerTrace] = None
         if trace:
-            self.trace = ClusterPowerTrace(self.instance, interval_s=trace_interval_s)
+            self.trace = ClusterPowerTrace(self.instance)
         #: Fault injector; a no-op (nothing scheduled, no RNG stream)
         #: unless a non-empty plan was supplied.
         self.faults = FaultInjector(

@@ -39,7 +39,7 @@ class FluxInstance:
         Instance size (brokers = nodes).
     seed:
         Root seed for every stochastic element (TBON latency jitter,
-        sensor noise, run-to-run variability, NVML failures).
+        run-to-run variability, NVML failures).
     fanout:
         TBON arity.
     enable_jitter:
@@ -47,12 +47,6 @@ class FluxInstance:
         off by default so calibration experiments are noise-free.
     nvml_failure_rate:
         Probability of a misbehaving NVML cap request per call.
-    sensor_noise_sigma_w:
-        Gaussian sensor noise per domain reading.
-    app_dt:
-        Application control step (seconds).
-    backfill:
-        Enable conservative backfill in the FCFS scheduler.
     telemetry_enabled:
         When False, the observability hub (:mod:`repro.telemetry`)
         records nothing. Recording is a pure observer either way, so
@@ -67,9 +61,6 @@ class FluxInstance:
         fanout: int = 2,
         enable_jitter: bool = False,
         nvml_failure_rate: float = 0.0,
-        sensor_noise_sigma_w: float = 0.0,
-        app_dt: float = 1.0,
-        backfill: bool = False,
         nodes: Optional[List[Node]] = None,
         sim: Optional[Simulator] = None,
         scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
@@ -85,7 +76,6 @@ class FluxInstance:
         distinguishable in telemetry CSVs; None keeps the historical
         ``<platform><rank>`` naming byte-identical."""
         self.platform = platform
-        self.app_dt = float(app_dt)
         self.sim = sim if sim is not None else Simulator()
         #: The shared observability hub (nested instances on the same
         #: simulator share it). Disabling is one-way here so a nested
@@ -107,7 +97,6 @@ class FluxInstance:
                     f"{name_stem}{i:03d}",
                     rng=self.streams.get(f"node/{i}"),
                     nvml_failure_rate=nvml_failure_rate,
-                    sensor_noise_sigma_w=sensor_noise_sigma_w,
                 )
                 for i in range(self.n_nodes)
             ]
@@ -135,7 +124,7 @@ class FluxInstance:
         self.scheduler = (
             scheduler_factory(self.n_nodes)
             if scheduler_factory is not None
-            else Scheduler(self.n_nodes, backfill=backfill)
+            else Scheduler(self.n_nodes)
         )
         self.jobmanager = JobManager(
             self.brokers[0], self.scheduler, executor=self._execute, kvs=self.kvs
@@ -214,7 +203,6 @@ class FluxInstance:
             on_done=done,
             on_fail=self.jobmanager.job_failed,
             fail_at_progress_s=float(fail_at) if fail_at is not None else None,
-            dt=self.app_dt,
         )
         self.app_runs[record.jobid] = run
 

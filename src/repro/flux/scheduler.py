@@ -1,8 +1,8 @@
 """Node allocation: first-come-first-served whole-node scheduling.
 
 The paper's queue experiment (Section IV-E) notes "Flux schedules these
-jobs as any regular resource manager would"; FCFS with an optional
-conservative backfill is sufficient and keeps makespans deterministic.
+jobs as any regular resource manager would"; plain FCFS is sufficient
+and keeps makespans deterministic.
 """
 
 from __future__ import annotations
@@ -17,18 +17,12 @@ class Scheduler:
     ----------
     size:
         Total node (rank) count.
-    backfill:
-        When True, a job later in the queue may start ahead of a blocked
-        head-of-queue job if enough nodes are free (conservative
-        skip-ahead; used by an ablation bench, off by default to match
-        plain FCFS).
     """
 
-    def __init__(self, size: int, backfill: bool = False) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("scheduler needs at least one node")
         self.size = size
-        self.backfill = backfill
         self._free: Set[int] = set(range(size))
 
     @property
@@ -63,15 +57,8 @@ class Scheduler:
         """Choose which queued jobid (if any) can start now.
 
         ``queue`` is jobids in submission order; ``requests`` maps jobid
-        to node count. Plain FCFS only considers the head; backfill
-        scans forward for the first job that fits.
+        to node count. FCFS: only the head is considered.
         """
-        if not queue:
-            return None
-        if self.can_allocate(requests[queue[0]]):
+        if queue and self.can_allocate(requests[queue[0]]):
             return queue[0]
-        if self.backfill:
-            for jobid in queue[1:]:
-                if self.can_allocate(requests[jobid]):
-                    return jobid
         return None

@@ -34,7 +34,6 @@ class UserInstance(FluxInstance):
         allocation: JobRecord,
         seed: int = 0,
         fanout: int = 2,
-        backfill: bool = False,
     ) -> None:
         if allocation.state is not JobState.RUNNING:
             raise RuntimeError(
@@ -48,7 +47,6 @@ class UserInstance(FluxInstance):
             platform=parent.platform,
             seed=seed,
             fanout=fanout,
-            backfill=backfill,
             nodes=nodes,
             sim=parent.sim,
         )
@@ -85,7 +83,6 @@ def spawn_user_instance(
     user: str = "user0",
     seed: int = 0,
     fanout: int = 2,
-    backfill: bool = False,
     timeout_s: float = 1e6,
 ) -> UserInstance:
     """Request an allocation from ``parent`` and bootstrap an instance.
@@ -102,6 +99,4 @@ def spawn_user_instance(
             raise RuntimeError("simulation drained before allocation was granted")
         if parent.sim.now > deadline:
             raise TimeoutError(f"allocation for {nnodes} nodes not granted in time")
-    return UserInstance(
-        parent, record, seed=seed, fanout=fanout, backfill=backfill
-    )
+    return UserInstance(parent, record, seed=seed, fanout=fanout)

@@ -77,8 +77,8 @@ class Node:
     spec:
         The platform :class:`NodeSpec`.
     rng:
-        Optional seeded generator for sensor noise and NVML failure
-        draws on this node.
+        Optional seeded generator for the NVML failure draws on this
+        node.
     nvml_failure_rate:
         Probability that an NVML cap request misbehaves (Section V).
     """
@@ -89,7 +89,6 @@ class Node:
         spec: NodeSpec,
         rng: Optional[np.random.Generator] = None,
         nvml_failure_rate: float = 0.0,
-        sensor_noise_sigma_w: float = 0.0,
     ) -> None:
         self.hostname = hostname
         self.spec = spec
@@ -156,12 +155,7 @@ class Node:
                     gpu_domains=gpus, rng=rng, failure_rate=nvml_failure_rate
                 )
 
-        self.sensors = SensorSuite(
-            self,
-            granularity_s=spec.sensor_granularity_s,
-            noise_sigma_w=sensor_noise_sigma_w,
-            rng=rng,
-        )
+        self.sensors = SensorSuite(self, granularity_s=spec.sensor_granularity_s)
 
     def bump_power_rev(self) -> None:
         """Advance the power revision (every demand/cap mutation).

@@ -73,7 +73,6 @@ def elcapitan_node_spec() -> NodeSpec:
 def make_elcapitan_node(
     hostname: str,
     rng: Optional[np.random.Generator] = None,
-    sensor_noise_sigma_w: float = 0.0,
     **_ignored,
 ) -> Node:
     """Construct one El Capitan-class node."""
@@ -81,5 +80,4 @@ def make_elcapitan_node(
         hostname=hostname,
         spec=elcapitan_node_spec(),
         rng=rng,
-        sensor_noise_sigma_w=sensor_noise_sigma_w,
     )

@@ -79,7 +79,6 @@ def make_generic_node(
     n_sockets: int = 2,
     n_gpus: int = 0,
     nvml_failure_rate: float = 0.0,
-    sensor_noise_sigma_w: float = 0.0,
 ) -> Node:
     """Construct one generic node."""
     return Node(
@@ -87,5 +86,4 @@ def make_generic_node(
         spec=generic_node_spec(n_sockets=n_sockets, n_gpus=n_gpus),
         rng=rng,
         nvml_failure_rate=nvml_failure_rate,
-        sensor_noise_sigma_w=sensor_noise_sigma_w,
     )

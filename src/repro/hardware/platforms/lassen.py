@@ -101,7 +101,6 @@ def make_lassen_node(
     hostname: str,
     rng: Optional[np.random.Generator] = None,
     nvml_failure_rate: float = 0.0,
-    sensor_noise_sigma_w: float = 0.0,
 ) -> Node:
     """Construct one Lassen node."""
     return Node(
@@ -109,5 +108,4 @@ def make_lassen_node(
         spec=lassen_node_spec(),
         rng=rng,
         nvml_failure_rate=nvml_failure_rate,
-        sensor_noise_sigma_w=sensor_noise_sigma_w,
     )

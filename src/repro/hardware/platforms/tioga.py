@@ -81,7 +81,6 @@ def tioga_node_spec() -> NodeSpec:
 def make_tioga_node(
     hostname: str,
     rng: Optional[np.random.Generator] = None,
-    sensor_noise_sigma_w: float = 0.0,
     **_ignored,
 ) -> Node:
     """Construct one Tioga node."""
@@ -89,5 +88,4 @@ def make_tioga_node(
         hostname=hostname,
         spec=tioga_node_spec(),
         rng=rng,
-        sensor_noise_sigma_w=sensor_noise_sigma_w,
     )

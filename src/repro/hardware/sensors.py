@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.hardware.domains import DomainKind
 
@@ -59,37 +57,17 @@ class SensorSuite:
         MSR-based readings on Tioga). Readings are timestamps rounded
         down to this grid, modelling that a sample sees the last sensor
         update rather than the true instantaneous value.
-    noise_sigma_w:
-        Additive gaussian measurement noise per domain (small; sensors
-        are good but not perfect). Uses a seeded stream when given.
     """
 
-    def __init__(
-        self,
-        node: "Node",
-        granularity_s: float = 500e-6,
-        noise_sigma_w: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, node: "Node", granularity_s: float = 500e-6) -> None:
         self._node = node
         self.granularity_s = float(granularity_s)
-        self.noise_sigma_w = float(noise_sigma_w)
-        self._rng = rng
-
-    def _noise(self) -> float:
-        if self.noise_sigma_w <= 0.0 or self._rng is None:
-            return 0.0
-        return float(self._rng.normal(0.0, self.noise_sigma_w))
 
     def read(self, timestamp: float) -> SensorReading:
         """Sample every measurable domain on the node.
 
         Hot path: ``math.floor`` on floats matches ``np.floor`` bit for
-        bit (both are correctly-rounded IEEE-754 operations), and when
-        noise is enabled all of a node's draws come from one vectorized
-        ``Generator.normal`` call — the generator fills its stream
-        sequentially, so values equal the per-domain scalar draws (a
-        regression test pins this).
+        bit (both are correctly-rounded IEEE-754 operations).
         """
         node = self._node
         quantised = (
@@ -97,35 +75,19 @@ class SensorSuite:
             if self.granularity_s > 0
             else timestamp
         )
-        measurable = node.measurable_domains
         node_measured = node.spec.node_power_measurable
         domains: Dict[str, float] = {}
         measured_sum = 0.0
-        if self.noise_sigma_w > 0.0 and self._rng is not None:
-            # One draw per measurable domain plus one for the node
-            # sensor, in the order the scalar path consumed them.
-            noise = self._rng.normal(
-                0.0, self.noise_sigma_w, size=len(measurable) + (1 if node_measured else 0)
-            )
-            for i, dom in enumerate(measurable):
-                watts = max(0.0, dom.actual_w + float(noise[i]))
-                domains[dom.spec.name] = watts
-                measured_sum += watts
-            if node_measured:
-                # Hardware node sensor sees everything, including uncore
-                # and any unmeasurable domains.
-                node_w = max(0.0, node.total_power_w() + float(noise[-1]))
-            else:
-                node_w = measured_sum
+        for dom in node.measurable_domains:
+            watts = max(0.0, dom.actual_w)
+            domains[dom.spec.name] = watts
+            measured_sum += watts
+        if node_measured:
+            # The hardware node sensor sees everything, including uncore
+            # and any unmeasurable domains.
+            node_w = max(0.0, node.total_power_w())
         else:
-            for dom in measurable:
-                watts = max(0.0, dom.actual_w)
-                domains[dom.spec.name] = watts
-                measured_sum += watts
-            if node_measured:
-                node_w = max(0.0, node.total_power_w())
-            else:
-                node_w = measured_sum
+            node_w = measured_sum
         return SensorReading(
             timestamp=float(quantised),
             hostname=node.hostname,

@@ -46,9 +46,8 @@ class PowerAwareScheduler(Scheduler):
         global_cap_w: float,
         min_share_w: float = 1000.0,
         node_peak_w: float = 3050.0,
-        backfill: bool = False,
     ) -> None:
-        super().__init__(size, backfill=backfill)
+        super().__init__(size)
         if global_cap_w <= 0:
             raise ValueError("global_cap_w must be positive")
         if min_share_w <= 0:

@@ -42,8 +42,7 @@ class NodeAgentModule(Module):
     :class:`~repro.monitor.sampler.SampleGroup` on its tick grid. From
     then on ``buffer`` is a :class:`~repro.columnar.store.ColumnarRing`
     — a lazy view over the group's shared tick log that the group
-    fills — on every agent, noisy sensors and restored snapshots
-    included.
+    fills — on every agent, restored snapshots included.
     """
 
     name = "power-monitor"
@@ -81,10 +80,6 @@ class NodeAgentModule(Module):
         # The node's telemetry plan, likewise fixed; passing it into
         # sample_cached skips the per-sample plan lookup.
         self._plan = self._backend.plan_for(broker.node)
-        # Noisy sensors draw RNG per sample, so the group samples them
-        # on every tick rather than only after power-state changes.
-        sensors = broker.node.sensors
-        self._noisy = sensors.noise_sigma_w > 0.0 and sensors._rng is not None
         self._g_occupancy = None
         self._g_dropped = None
         self._c_queries = None

@@ -27,8 +27,8 @@ golden fixtures were recorded with:
   exactly like its own timer.
 * **In-group order is registration order**, which is the sequence
   order the agents' individual timers would have been created in — so
-  same-tick sensor reads (the RNG draws of noisy sensors) and the
-  accountant charges keep the per-node event order.
+  same-tick sensor reads and the accountant charges keep the per-node
+  event order.
 * **Sample bodies are local.** They update the node's ring, per-rank
   gauges and the overhead accountant; they never send messages,
   schedule events or draw cross-node RNG, so fusing them into one
@@ -86,7 +86,7 @@ class SampleGroup:
 
     __slots__ = (
         "key", "members", "log", "event", "last_tick_t", "_tick_seq",
-        "_sampler", "_seen_global_rev", "_noisy", "_charge_runs",
+        "_sampler", "_seen_global_rev", "_charge_runs",
     )
 
     def __init__(
@@ -104,9 +104,8 @@ class SampleGroup:
         self._sampler = sampler
         self._seen_global_rev = -1
         #: Derived from ``members`` at the first tick after a change:
-        #: the noisy-sensor members, and the members' per-sample
-        #: charges as ``(charge, count)`` runs, both in member order.
-        self._noisy: List["NodeAgentModule"] = []
+        #: the members' per-sample charges as ``(charge, count)`` runs,
+        #: in member order.
         self._charge_runs: Optional[List[Tuple[float, int]]] = None
         self.event: ScheduledEvent = sampler.sim.schedule_periodic(
             interval, self._tick, first_time=first_time
@@ -142,7 +141,6 @@ class SampleGroup:
             (charge, sum(1 for _ in run))
             for charge, run in groupby(agent._charge_s for agent in self.members)
         ]
-        self._noisy = [agent for agent in self.members if agent._noisy]
 
     # -- the tick -------------------------------------------------------
     def _tick(self) -> None:
@@ -160,19 +158,18 @@ class SampleGroup:
         if self._charge_runs is None:
             self._reindex()
         if sampler.global_rev != self._seen_global_rev:
+            # Rescan tick: a power state moved somewhere on the engine
+            # (or a member joined); members whose node's revision moved
+            # start a new segment. A quiet tick only extends the log.
             self._seen_global_rev = sampler.global_rev
-            scan = members
-        else:
-            scan = self._noisy
-        idx = log.n - 1
-        for agent in scan:
-            node = agent.broker.node
-            ring = agent.buffer
-            rev = node.power_rev
-            if agent._noisy or ring.segment_rev != rev:
-                ring.push_segment(
-                    idx, rev, agent._backend.sample_cached(node, now, agent._plan)
-                )
+            idx = log.n - 1
+            for agent in members:
+                node = agent.broker.node
+                ring = agent.buffer
+                rev = node.power_rev
+                if ring.segment_rev != rev:
+                    sample = agent._backend.sample_cached(node, now, agent._plan)
+                    ring.push_segment(idx, rev, sample)
         charge_repeated = sampler._accountant.charge_repeated
         for charge, count in self._charge_runs:
             charge_repeated("monitor", charge, count)

@@ -88,12 +88,10 @@ class Telemetry:
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = True, trace_capacity: int = 8192) -> None:
+                 enabled: bool = True) -> None:
         self.clock = clock or (lambda: 0.0)
         self.metrics = MetricsRegistry(clock=self.clock, enabled=enabled)
-        self.tracer = TraceRecorder(
-            capacity=trace_capacity, clock=self.clock, enabled=enabled
-        )
+        self.tracer = TraceRecorder(clock=self.clock, enabled=enabled)
         self.accountant = OverheadAccountant(
             registry=self.metrics, enabled=enabled
         )

@@ -194,14 +194,10 @@ class Backend:
         kept as a template keyed by ``node.power_rev`` (bumped by every
         demand/cap mutation) and later ticks copy it with a fresh
         timestamp — the same floor/round arithmetic the sensor path
-        uses, so values are bit-identical to a full rebuild. Noisy
-        sensors draw per-sample RNG and always take the full path.
+        uses, so values are bit-identical to a full rebuild.
         Samples are treated as write-once everywhere (ring buffer,
         responses); mutating one would poison its node's template.
         """
-        sensors = node.sensors
-        if sensors.noise_sigma_w > 0.0 and sensors._rng is not None:
-            return self.get_node_power_json(node, timestamp)
         if plan is None:
             plan = self.plan_for(node)
         tmpl = plan.template
@@ -211,7 +207,7 @@ class Backend:
             plan.template = sample
             plan.template_rev = rev
             return sample
-        g = sensors.granularity_s
+        g = node.sensors.granularity_s
         quantised = math.floor(timestamp / g) * g if g > 0 else timestamp
         sample = dict(tmpl)
         sample["timestamp"] = round(float(quantised), 6)

@@ -7,7 +7,12 @@ from typing import Dict
 
 from repro.hardware.domains import DomainKind
 from repro.hardware.node import Node
-from repro.variorum.backends.base import Backend, clear_source, driver_call
+from repro.variorum.backends.base import (
+    Backend,
+    VariorumError,
+    clear_source,
+    driver_call,
+)
 
 
 class IBMBackend(Backend):
@@ -40,8 +45,8 @@ class IBMBackend(Backend):
         self, node: Node, watts: float
     ) -> Dict[str, object]:
         if node.opal is None:
-            raise RuntimeError(f"{node.hostname}: IBM node without OPAL firmware")
-        derived = node.opal.set_node_power_cap(watts)
+            raise VariorumError(f"{node.hostname}: IBM node without OPAL firmware")
+        derived = driver_call(node.opal.set_node_power_cap, watts)
         return {
             "method": "opal_node_cap",
             "node_cap_watts": watts,

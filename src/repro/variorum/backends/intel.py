@@ -55,7 +55,7 @@ class IntelBackend(Backend):
         hi = spec.max_cap_w or spec.max_w
         per_socket = min(max(per_socket, lo), hi)
         for i in range(len(cpus)):
-            node.rapl.set_socket_power_cap(i, per_socket)
+            self.cap_device_power_limit(node, "socket", i, per_socket)
         result: Dict[str, object] = {
             "method": "rapl_uniform_split",
             "socket_cap_watts": per_socket,
@@ -67,7 +67,8 @@ class IntelBackend(Backend):
             per_gpu = min(
                 max(per_gpu, gspec.min_cap_w or 0.0), gspec.max_cap_w or gspec.max_w
             )
-            node.nvml.set_all(per_gpu)
+            for i in range(len(gpus)):
+                self.cap_device_power_limit(node, "gpu", i, per_gpu)
             result["gpu_cap_watts"] = per_gpu
         return result
 

@@ -11,8 +11,10 @@ payload sizing). The optimized engine must reproduce them byte for byte
 Each scenario is a 16-node Lassen cluster, seed 33, two jobs (gemm on 8
 nodes, quicksilver on 4), proportional manager — run with each
 aggregation strategy, with and without a crash/restart fault. The
-restart lands exactly on the 2 s sampling grid (t=16.0) on purpose: it
-pins the batched-tick catch-up edge case.
+restart lands exactly on the 2 s sampling grid (t=16.0) on purpose: the
+reloaded agent enrols at the instant its group's next tick is pending
+and joins that group, which takes that tick's sample with no catch-up.
+The after-tick catch-up sample is pinned in tests/test_one_sample_ring.py.
 """
 
 from __future__ import annotations

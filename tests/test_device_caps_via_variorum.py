@@ -16,12 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from repro import variorum
 from repro.cluster import PowerManagedCluster
 from repro.flux.instance import FluxInstance
 from repro.flux.jobspec import Jobspec
 from repro.hardware.platforms import make_node
 from repro.manager.cluster_manager import ManagerConfig
 from repro.manager.module import attach_manager
+from repro.variorum.backends import get_backend
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 DRIVER_ATTRS = {"nvml", "esmi", "rapl", "opal"}
@@ -113,6 +115,58 @@ def test_refused_device_cap_counts_a_failure_and_records_nothing():
     assert nm.cap_request_failures == 1
     assert nm._last_caps["gpu"][0] is None
     assert inst.nodes[0].gpu_domains[0].effective_cap_w is None
+
+
+@pytest.mark.parametrize("platform", ["lassen", "tioga"])
+def test_refused_static_node_cap_counts_a_failure_per_node(platform):
+    """400 W is below Lassen's OPAL floor; Tioga refuses every user cap.
+    Either way the cluster builds and each node manager counts one
+    refused best-effort cap."""
+    cluster = PowerManagedCluster(
+        platform=platform,
+        n_nodes=2,
+        seed=1,
+        manager_config=ManagerConfig(
+            global_cap_w=3000.0, policy="proportional", static_node_cap_w=400.0
+        ),
+    )
+    assert [nm.cap_request_failures for nm in cluster.manager.node_managers] == [1, 1]
+    for node in cluster.nodes:
+        assert all(dom.effective_cap_w is None for dom in node.domains.values())
+
+
+def test_ibm_node_cap_without_opal_is_a_variorum_error():
+    node = make_node("lassen", "n0")
+    node.opal = None
+    with pytest.raises(variorum.VariorumError):
+        variorum.cap_best_effort_node_power_limit(node, 2000.0)
+
+
+@pytest.mark.parametrize(
+    "platform,extra,expect",
+    [
+        ("generic", {"n_gpus": 2},
+         [("socket", 0), ("socket", 1), ("gpu", 0), ("gpu", 1)]),
+        ("tioga", {},
+         [("socket", 0)] + [("gpu", i) for i in range(4)]),
+    ],
+)
+def test_best_effort_node_cap_writes_through_the_device_dials(
+    platform, extra, expect, monkeypatch
+):
+    node = make_node(platform, "n0", **extra)
+    _enable_amd_capping([node])
+    backend = get_backend(node.spec.vendor)
+    calls = []
+    dial = type(backend).cap_device_power_limit
+
+    def spy(self, node, domain, index, watts):
+        calls.append((domain, index))
+        return dial(self, node, domain, index, watts)
+
+    monkeypatch.setattr(type(backend), "cap_device_power_limit", spy)
+    variorum.cap_best_effort_node_power_limit(node, 1000.0)
+    assert calls == expect
 
 
 @pytest.mark.parametrize("platform", ["tioga", "elcapitan"])

@@ -1,20 +1,31 @@
 """Documentation consistency checks.
 
-Two guarantees:
+Three guarantees:
 
 * docs/observability.md is the complete metric catalog — every metric
   the code can emit (found statically in registry calls, and
   dynamically by running a managed workload) must appear there;
 * no doc references a file that does not exist (dead-link check over
-  docs/*.md and README.md).
+  docs/*.md and README.md);
+* every keyword a doc passes to a construction entry point
+  (``PowerManagedCluster(n_nodes=...)`` and its kin) is a parameter of
+  that entry point, so deleting an option cannot leave a stale example.
 """
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import Jobspec, ManagerConfig, PowerManagedCluster
+from repro.federation import ClusterSpec, SiteConfig
+from repro.flux.instance import FluxInstance
+from repro.manager.module import attach_manager
+from repro.monitor.module import attach_monitor
+from repro.serving.loadgen import LoadProfile
+from repro.tenancy.admission import AdmissionConfig
+from repro.tenancy.coordinator import TenancyConfig
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -199,3 +210,104 @@ def test_no_dead_file_references(doc):
         if not (REPO / ref).exists() and not (doc.parent / ref).exists()
     ]
     assert not dead, f"{doc.name} references missing files: {dead}"
+
+
+# ----------------------------------------------------------------------
+# Keywords in documented calls
+# ----------------------------------------------------------------------
+#: ``name -> parameter names`` of every construction entry point whose
+#: documented calls are checked.
+ENTRY_POINTS = {
+    f.__name__: set(inspect.signature(f).parameters)
+    for f in (
+        PowerManagedCluster, FluxInstance, ManagerConfig,
+        attach_monitor, attach_manager,
+        ClusterSpec, SiteConfig, TenancyConfig, AdmissionConfig,
+        LoadProfile,
+    )
+}
+
+
+# One token at a time: a quoted string or a comment (skipped), a call
+# opening ``name(``, a bare ``(`` or ``)``, a ``kw=`` (not ``==``), or a
+# blank line, which ends a call a doc left unclosed in prose.
+_CALL_TOKEN_RE = re.compile(
+    r"""(?P<skip>"[^"\n]*"|'[^'\n]*'|\#[^\n]*)"""
+    r"|(?P<call>\b(?P<name>[A-Za-z_]\w*)\()"
+    r"|(?P<open>\()|(?P<close>\))"
+    r"|(?P<kw>\b(?P<kw_name>[A-Za-z_]\w*)\s*=(?!=))"
+    r"|(?P<blank>\n[ \t]*\n)"
+)
+_ENTRY_CALL_RE = re.compile(r"\b(" + "|".join(sorted(ENTRY_POINTS)) + r")\(")
+
+
+def documented_keywords(text):
+    """``(line, name, kw)`` for every ``kw=`` passed to a call of an
+    entry point in ``text``; a keyword belongs to the innermost open
+    call, and keywords of any other call are ignored."""
+    found = []
+    pos = 0
+    while True:
+        start = _ENTRY_CALL_RE.search(text, pos)
+        if start is None:
+            return found
+        stack = [start.group(1)]
+        pos = start.end()
+        while stack:
+            tok = _CALL_TOKEN_RE.search(text, pos)
+            if tok is None or tok.lastgroup == "blank":
+                pos = len(text) if tok is None else tok.end()
+                break
+            pos = tok.end()
+            kind = tok.lastgroup
+            if kind == "call":
+                name = tok.group("name")
+                stack.append(name if name in ENTRY_POINTS else None)
+            elif kind == "open":
+                stack.append(None)
+            elif kind == "close":
+                stack.pop()
+            elif kind == "kw" and stack[-1] is not None:
+                line = text.count("\n", 0, tok.start()) + 1
+                found.append((line, stack[-1], tok.group("kw_name")))
+
+
+def signature_doc_files():
+    return [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"] + sorted(
+        (REPO / "docs").glob("*.md")
+    )
+
+
+def stale_keywords(text):
+    return [
+        f"{line}: {name}({kw}=...)"
+        for line, name, kw in documented_keywords(text)
+        if kw not in ENTRY_POINTS[name]
+    ]
+
+
+def test_documented_call_keywords_exist():
+    seen = 0
+    stale = []
+    for doc in signature_doc_files():
+        text = doc.read_text()
+        seen += len(documented_keywords(text))
+        stale += [f"{doc.name}:{hit}" for hit in stale_keywords(text)]
+    assert seen >= 20, "the keyword scan no longer finds the documented calls"
+    assert not stale, f"docs pass keywords their callee does not take: {stale}"
+
+
+def test_stale_documented_keyword_is_caught():
+    doc = """
+```python
+cluster = PowerManagedCluster(
+    n_nodes=4,  # a comment with fake=1
+    manager_config=ManagerConfig(global_cap_w=4800.0, noise_w=1.0),
+    hostname_prefix="a=b", app_dt=0.5,
+)
+```
+"""
+    assert stale_keywords(doc) == [
+        "5: ManagerConfig(noise_w=...)",
+        "6: PowerManagedCluster(app_dt=...)",
+    ]

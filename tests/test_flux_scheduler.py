@@ -54,27 +54,19 @@ def test_needs_at_least_one_node():
 
 
 # ---------------------------------------------------------------------------
-# pick_next: FCFS vs backfill
+# pick_next: FCFS
 # ---------------------------------------------------------------------------
 
 def test_fcfs_blocks_behind_head():
-    s = Scheduler(4, backfill=False)
+    s = Scheduler(4)
     s.allocate(3)  # 1 free
     queue = [10, 11]
     requests = {10: 2, 11: 1}
     assert s.pick_next(queue, requests) is None  # head needs 2, only 1 free
 
 
-def test_backfill_skips_blocked_head():
-    s = Scheduler(4, backfill=True)
-    s.allocate(3)
-    queue = [10, 11]
-    requests = {10: 2, 11: 1}
-    assert s.pick_next(queue, requests) == 11
-
-
 def test_pick_next_prefers_head_when_it_fits():
-    s = Scheduler(4, backfill=True)
+    s = Scheduler(4)
     queue = [10, 11]
     requests = {10: 2, 11: 1}
     assert s.pick_next(queue, requests) == 10

@@ -1,6 +1,5 @@
 """Unit tests for sensor suites."""
 
-import numpy as np
 import pytest
 
 from repro.hardware.domains import DomainKind
@@ -54,25 +53,3 @@ def test_total_by_kind_aggregates():
     r = node.sensors.read(0.0)
     assert r.total_by_kind(DomainKind.GPU) == pytest.approx(300.0 + 3 * 50.0)
     assert r.total_by_kind(DomainKind.CPU) == pytest.approx(80.0)
-
-
-def test_sensor_noise_is_seeded_and_bounded():
-    rng = np.random.default_rng(3)
-    node = make_lassen_node("n0", rng=rng, sensor_noise_sigma_w=1.0)
-    readings = [node.sensors.read(float(i)).node_w for i in range(50)]
-    assert len(set(readings)) > 1  # noise present
-    assert all(abs(v - 400.0) < 10.0 for v in readings)  # bounded
-
-    rng2 = np.random.default_rng(3)
-    node2 = make_lassen_node("n0", rng=rng2, sensor_noise_sigma_w=1.0)
-    readings2 = [node2.sensors.read(float(i)).node_w for i in range(50)]
-    assert readings == readings2  # deterministic given the seed
-
-
-def test_noise_never_produces_negative_power():
-    rng = np.random.default_rng(0)
-    node = make_lassen_node("n0", rng=rng, sensor_noise_sigma_w=500.0)
-    for i in range(100):
-        r = node.sensors.read(float(i))
-        assert r.node_w >= 0.0
-        assert all(v >= 0.0 for v in r.domains_w.values())

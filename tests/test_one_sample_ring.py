@@ -1,14 +1,16 @@
 """Literal pins for the node-agent cases that used to leave the columnar ring.
 
 Every node agent samples into a
-:class:`~repro.columnar.store.ColumnarRing`. Four kinds of agent once
+:class:`~repro.columnar.store.ColumnarRing`. Three kinds of agent once
 fell back to an explicit per-tick ring buffer: a hand-built agent whose
-node the columnar store had not adopted, an agent on a noisy sensor, an
-agent whose per-sample charge differed from its engine's first one (a
-Tioga cluster beside a Lassen one), and an agent enrolled at an instant
-its sampler group had already ticked. A snapshot restore used to demote
-a ring as well. The digests below were recorded from the explicit-buffer
-implementation; each run asserts that every agent now holds a ring.
+node the columnar store had not adopted, an agent whose per-sample
+charge differed from its engine's first one (a Tioga cluster beside a
+Lassen one), and an agent enrolled at an instant its sampler group had
+already ticked. A snapshot restore used to demote a ring as well. The
+digests below were recorded from the explicit-buffer implementation,
+except the catch-up pin, recorded on the ring path before the
+noisy-sensor option was removed; each run asserts that every agent now
+holds a ring.
 """
 
 from __future__ import annotations
@@ -47,33 +49,29 @@ def _assert_all_rings(agents) -> None:
 
 
 # ----------------------------------------------------------------------
-# Noisy sensors + a same-instant reload (catch-up sample)
+# A same-instant reload (catch-up sample)
 # ----------------------------------------------------------------------
-def _noisy_run():
-    inst = FluxInstance(
-        platform="lassen", n_nodes=4, seed=13, sensor_noise_sigma_w=3.0
-    )
+def test_catch_up_sample_is_pinned():
+    inst = FluxInstance(platform="lassen", n_nodes=4, seed=13)
     monitor = attach_monitor(inst, sample_interval_s=2.0, buffer_capacity=12)
     inst.sim.schedule(7.3, lambda: inst.nodes[1].gpu_domains[0].set_demand(180.0))
     inst.run_for(10.0)  # the t=10 group tick has fired
     monitor.reload_agent(2)  # same instant: one catch-up sample
+    inst.sim.schedule(3.1, lambda: inst.nodes[2].gpu_domains[1].set_demand(210.0))
     inst.run_for(20.0)
     fut = inst.brokers[0].rpc(
         0, GET_JOB_POWER_TOPIC,
         {"ranks": list(range(4)), "t_start": 0.0, "t_end": 30.0},
     )
-    return monitor, _await(inst, fut)
-
-
-def test_noisy_sensors_with_catch_up_sample_are_pinned():
-    monitor, payload = _noisy_run()
+    payload = _await(inst, fut)
     _assert_all_rings(monitor.node_agents)
     reloaded = monitor.node_agents[2]
     assert [t for t, _ in reloaded.buffer.snapshot()][:2] == [10.0, 12.0]
     assert reloaded.samples_taken == 11
     assert _digest(payload) == (
-        "644a3ed65a2fc2da4c2419773d057b33ef1a3fd30c6b0c7bc2e4d2f6bc86289f"
+        "c46fa084b9076d07cbffa0f84c2f06058f058004b3c5aaa63c7cd125e7ff191c"
     )
+    assert inst.telemetry.accountant.seconds("monitor") == 0.45580000000000037
 
 
 # ----------------------------------------------------------------------

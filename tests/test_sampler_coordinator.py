@@ -123,3 +123,35 @@ def test_clear_after_wrap_keeps_the_wrap_count():
     assert fut.value["flushed"] == 3
     assert _occupancy(inst)["0"] == 0
     assert dropped.value == 2
+
+
+def test_only_a_rescan_tick_samples_and_only_moved_nodes(monkeypatch):
+    """A quiet tick extends the shared log without sampling any member;
+    a tick after a power-state change samples only the nodes whose
+    ``power_rev`` moved."""
+    inst = FluxInstance(platform="lassen", n_nodes=4, seed=3)
+    agents = attach_monitor(inst, sample_interval_s=2.0).node_agents
+    backend = type(agents[0]._backend)
+    sampled = []
+    sample_cached = backend.sample_cached
+
+    def spy(self, node, timestamp, plan=None):
+        sampled.append((timestamp, node.hostname))
+        return sample_cached(self, node, timestamp, plan)
+
+    monkeypatch.setattr(backend, "sample_cached", spy)
+    inst.run_for(1.0)  # t=0: every newcomer takes its first sample
+    assert sampled == [(0.0, node.hostname) for node in inst.nodes]
+    del sampled[:]
+    inst.run_for(2.0)  # t=2: quiet
+    assert sampled == []
+    inst.nodes[1].gpu_domains[0].set_demand(180.0)
+    inst.run_for(2.0)  # t=4: rescan
+    assert sampled == [(4.0, inst.nodes[1].hostname)]
+    inst.run_for(2.0)  # t=6: quiet again
+    assert sampled == [(4.0, inst.nodes[1].hostname)]
+    for agent in agents:
+        assert [t for t, _ in agent.buffer.snapshot()] == [0.0, 2.0, 4.0, 6.0]
+    assert agents[1].buffer.snapshot()[-1][1]["power_gpu_watts_gpu_0"] > (
+        agents[1].buffer.snapshot()[0][1]["power_gpu_watts_gpu_0"]
+    )

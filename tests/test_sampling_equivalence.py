@@ -7,7 +7,7 @@ path itself is pinned against the golden fixtures by
 * **RNG stream identity** — vectorized draws (``Generator.normal`` /
   ``standard_normal`` with a ``size``) fill the stream sequentially,
   so they equal the scalar per-draw loop they replaced bit for bit.
-  The sensor suite and overlay path-delay model rely on this.
+  The overlay path-delay model relies on this.
 
 * **Arithmetic wire-size pricing** — query responses are priced as
   ``base + n_samples * per_node_sample_size`` instead of walking every
@@ -53,23 +53,6 @@ def test_vector_standard_normal_equals_scalar_draws():
     vec = vec_rng.standard_normal(5)
     scal = [scal_rng.standard_normal() for _ in range(5)]
     assert [float(x) for x in vec] == [float(x) for x in scal]
-
-
-def test_noisy_sensor_read_matches_manual_scalar_path():
-    """A noisy SensorSuite.read equals recomputing with scalar draws."""
-    node = make_lassen_node(
-        "n0", rng=np.random.default_rng(5), sensor_noise_sigma_w=1.5
-    )
-    ref_rng = np.random.default_rng(5)
-    reading = node.sensors.read(4.0)
-    # Replay the same draws scalar-by-scalar on an identical node.
-    ref = make_lassen_node("n0")
-    sigma = 1.5
-    for dom in ref.measurable_domains:
-        expect = max(0.0, dom.actual_w + float(ref_rng.normal(0.0, sigma)))
-        assert reading.domains_w[dom.spec.name] == expect
-    expect_node = max(0.0, ref.total_power_w() + float(ref_rng.normal(0.0, sigma)))
-    assert reading.node_w == expect_node
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +217,3 @@ def test_template_reflects_demand_change():
     node.domains["gpu0"].set_demand(280.0)
     after = backend.sample_cached(node, 2.0)
     assert after["power_gpu_watts_gpu_0"] != before["power_gpu_watts_gpu_0"]
-
-
-def test_noisy_sensors_never_use_template():
-    """Per-sample RNG draws force the full path (stream must advance)."""
-    node = make_lassen_node(
-        "n0", rng=np.random.default_rng(11), sensor_noise_sigma_w=2.0
-    )
-    backend = get_backend(node.spec.vendor)
-    a = backend.sample_cached(node, 0.0)
-    b = backend.sample_cached(node, 0.0)  # same rev, same timestamp
-    assert a["power_node_watts"] != b["power_node_watts"]
