@@ -4,7 +4,6 @@ and exporters (CSV power traces, chrome://tracing telemetry dumps)."""
 from repro.analysis.chrome_trace import (
     chrome_trace_dict,
     events_from_chrome,
-    to_chrome_trace_json,
     write_chrome_trace,
 )
 from repro.analysis.energy import (
@@ -33,7 +32,6 @@ __all__ = [
     "CampaignSummary",
     "summarise_campaign",
     "chrome_trace_dict",
-    "to_chrome_trace_json",
     "write_chrome_trace",
     "events_from_chrome",
 ]

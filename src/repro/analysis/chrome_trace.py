@@ -15,7 +15,7 @@ telemetry tests pin.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.telemetry.tracing import TraceEvent, TraceRecorder
 
@@ -52,11 +52,6 @@ def chrome_trace_dict(source: EventsOrRecorder) -> Dict[str, Any]:
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.telemetry", "clock": "simulated seconds"},
     }
-
-
-def to_chrome_trace_json(source: EventsOrRecorder, indent: Optional[int] = None) -> str:
-    """Serialise the trace to a chrome://tracing JSON document."""
-    return json.dumps(chrome_trace_dict(source), indent=indent)
 
 
 def write_chrome_trace(path: str, source: EventsOrRecorder) -> int:

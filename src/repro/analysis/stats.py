@@ -40,10 +40,6 @@ class BoxStats:
     maximum: float
 
     @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
-    @property
     def spread_pct(self) -> float:
         """(max - min) / median, in percent — the paper's >20% criterion."""
         if self.median == 0:

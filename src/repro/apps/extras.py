@@ -23,9 +23,6 @@ from repro.apps.base import AppProfile, PhaseProfile, PlatformDemand
 SW4LITE_INPUTS = "LOH.1 benchmark grid (no HIP variant exists)"
 KRIPKE_INPUTS = "groups=32 quad=192 zones=16^3 (fails on Tioga)"
 
-#: Kripke's Tioga runs crash this many seconds in (Section V).
-KRIPKE_TIOGA_FAIL_AT_S = 15.0
-
 
 def sw4lite_profile() -> AppProfile:
     """SW4lite: CUDA-only — note the missing ``tioga`` demand entry."""
@@ -83,11 +80,3 @@ def kripke_profile() -> AppProfile:
         },
         inputs=KRIPKE_INPUTS,
     )
-
-
-def kripke_jobspec_params(platform: str, **params):
-    """Job params for Kripke, injecting its Tioga crash (Section V)."""
-    out = dict(params)
-    if platform == "tioga":
-        out["fail_at_s"] = KRIPKE_TIOGA_FAIL_AT_S
-    return out

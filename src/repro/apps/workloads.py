@@ -83,44 +83,3 @@ def make_random_queue(
     # Shuffle submission order so apps interleave like a real queue.
     order = rng.permutation(len(entries))
     return [entries[i] for i in order]
-
-
-def queue_to_csv(queue: List[QueueJob]) -> str:
-    """Serialise a queue as CSV (app,nnodes,work_scale,submit_offset_s)."""
-    lines = ["app,nnodes,work_scale,submit_offset_s,name"]
-    for entry in queue:
-        scale = entry.spec.params.get("work_scale", 1.0)
-        lines.append(
-            f"{entry.spec.app},{entry.spec.nnodes},{scale},"
-            f"{entry.submit_offset_s},{entry.spec.label}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def queue_from_csv(text: str) -> List[QueueJob]:
-    """Parse a queue from the CSV format written by :func:`queue_to_csv`.
-
-    Lets campaigns be checked into a repo and replayed exactly —
-    including hand-edited ones.
-    """
-    lines = [l for l in text.strip().splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("app,"):
-        raise ValueError("missing queue CSV header")
-    out: List[QueueJob] = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {i}: expected 5 fields, got {len(parts)}")
-        app, nnodes, scale, offset, name = parts
-        params = {}
-        if float(scale) != 1.0:
-            params["work_scale"] = float(scale)
-        out.append(
-            QueueJob(
-                spec=Jobspec(
-                    app=app, nnodes=int(nnodes), params=params, name=name or None
-                ),
-                submit_offset_s=float(offset),
-            )
-        )
-    return out

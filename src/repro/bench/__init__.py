@@ -18,7 +18,6 @@ from repro.bench.harness import (
     BENCH_SCHEMA_VERSION,
     BenchReport,
     BenchResult,
-    load_report,
     run_suite,
     validate_report,
     write_report,
@@ -35,7 +34,6 @@ __all__ = [
     "compare_report_files",
     "compare_reports",
     "default_suite",
-    "load_report",
     "load_report_lenient",
     "parse_max_regress",
     "run_suite",

@@ -10,7 +10,7 @@ throughputs (higher is better); ``wall_s`` and other ``*_s``/``*_ms``
 metrics are durations (lower is better).  Anything else is shown but
 never gated.
 
-The loader here is deliberately lenient where ``load_report`` is
+The loader here is deliberately lenient where ``validate_report`` is
 strict: artifacts from older harness versions may carry a missing or
 zero ``created_unix`` and a different ``repeats`` policy — both are
 comparison *warnings*, not crashes, because the whole point of the
@@ -48,7 +48,7 @@ def parse_max_regress(text: str) -> float:
 def load_report_lenient(path: str) -> Dict[str, Any]:
     """Load a bench artifact with schema-only validation.
 
-    Unlike :func:`repro.bench.harness.load_report` this accepts
+    Unlike :func:`repro.bench.harness.validate_report` this accepts
     artifacts with missing/zero ``created_unix`` or absent ``repeats``
     — those become comparison warnings instead of load failures.
     """

@@ -144,13 +144,6 @@ def write_report(report: BenchReport, path: str) -> str:
     return path
 
 
-def load_report(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        data = json.load(fh)
-    validate_report(data)
-    return data
-
-
 def validate_report(data: Any) -> None:
     """Raise ``ValueError`` unless ``data`` is a valid bench report."""
     if not isinstance(data, dict):

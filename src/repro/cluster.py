@@ -27,7 +27,6 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.flux.broker import Broker
 from repro.flux.instance import FluxInstance
 from repro.flux.jobspec import JobRecord, Jobspec
-from repro.flux.module import RetryConfig
 from repro.manager.cluster_manager import ManagerConfig
 from repro.manager.module import PowerManager, attach_manager
 from repro.monitor.client import JobPowerData
@@ -65,9 +64,6 @@ class PowerManagedCluster:
         Fault campaign to inject (:class:`~repro.faults.FaultPlan`);
         ``None`` (or an empty plan) injects nothing and leaves the run
         byte-identical to a faultless build — see docs/failures.md.
-    monitor_retry:
-        Per-node timeout/retry policy for telemetry aggregation
-        (:class:`~repro.flux.module.RetryConfig`); None uses defaults.
     sim:
         An existing :class:`~repro.simkernel.Simulator` to build on —
         several clusters sharing one engine is how a federated site
@@ -93,7 +89,6 @@ class PowerManagedCluster:
         scheduler_factory=None,
         telemetry_enabled: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        monitor_retry: Optional[RetryConfig] = None,
         monitor_strategy: str = "fanout",
         sim=None,
         hostname_prefix: Optional[str] = None,
@@ -117,7 +112,6 @@ class PowerManagedCluster:
                 self.instance,
                 sample_interval_s=monitor_interval_s,
                 strategy=monitor_strategy,
-                retry=monitor_retry,
             )
         self.manager: Optional[PowerManager] = None
         if manager_config is not None:

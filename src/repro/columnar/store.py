@@ -215,16 +215,8 @@ class ColumnarRing:
         lo = self._live_lo()
         return float(self.log.raw.data[lo]) if lo < self.end else None
 
-    @property
-    def newest_timestamp(self) -> Optional[float]:
-        end = self.end
-        return float(self.log.raw.data[end - 1]) if end > self._live_lo() else None
-
     def size_bytes(self, per_sample: int = DEFAULT_SAMPLE_BYTES) -> int:
         return len(self) * per_sample
-
-    def capacity_bytes(self, per_sample: int = DEFAULT_SAMPLE_BYTES) -> int:
-        return self.capacity * per_sample
 
     # -- segments -------------------------------------------------------
     def push_segment(self, log_idx: int, rev: int, template: dict) -> None:

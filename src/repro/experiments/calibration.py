@@ -22,6 +22,9 @@ CLUSTER_NODES = 8
 GLOBAL_POWER_CAP_W = 9600.0
 UNCONSTRAINED_BOUND_W = 24400.0  # 8 nodes x 3050 W
 
+#: Fig 1: Quicksilver's power period (s); LAMMPS has none.
+FIG1_QUICKSILVER_PERIOD_S = 20.0
+
 # ---------------------------------------------------------------------------
 # Table II: cross-system performance (4 and 8 nodes).
 # (runtime_s, avg_node_power_w, avg_node_energy_kj); energy '-' -> None.
@@ -40,12 +43,14 @@ TABLE2 = {
     ("quicksilver", 4, "tioga"): (102.03, 915.82, None),
     ("quicksilver", 8, "tioga"): (106.15, 924.85, None),
 }
+#: Table II headline deltas: 4-node energy change from Lassen to Tioga (%).
+LAMMPS_TIOGA_ENERGY_PCT = -21.5
+LAGHOS_TIOGA_ENERGY_PCT = 139.0
 
 # ---------------------------------------------------------------------------
 # Fig 3: monitor overhead (averages reported in the text).
 # ---------------------------------------------------------------------------
 OVERHEAD_AVG_PCT = {"lassen": 1.2, "tioga": 0.04}
-OVERHEAD_HEADLINE_PCT = 0.4  # abstract: "low average overhead of 0.4%"
 #: Low-node-count outliers the paper highlights (app, nodes) -> avg %.
 OVERHEAD_OUTLIERS_PCT = {
     ("laghos", 1): 6.2,
@@ -95,12 +100,8 @@ TABLE4 = {
 
 #: Headline claims (abstract / Section IV-D / Section VI).
 FPP_VS_PROP_ENERGY_PCT = -1.2
-FPP_VS_PROP_PERF_LOSS_PCT = 0.8
 FPP_VS_IBM_ENERGY_PCT = -20.0
 FPP_VS_IBM_SPEEDUP = 1.58
-PROP_VS_IBM_ENERGY_PCT = -19.0
-PROP_VS_IBM_SPEEDUP = 1.59
-PROP_VS_STATIC1950_ENERGY_PCT = -5.4
 
 # ---------------------------------------------------------------------------
 # Section IV-E: job queue.
@@ -114,4 +115,3 @@ QUEUE_FPP_ENERGY_IMPROVEMENT_PCT = 1.26
 # ---------------------------------------------------------------------------
 MONITOR_BUFFER_SAMPLES = 100_000
 MONITOR_BUFFER_MB = 43.4  # MiB
-MONITOR_SAMPLE_INTERVAL_S = 2.0

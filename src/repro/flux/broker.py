@@ -147,9 +147,6 @@ class Broker:
     def unregister_service(self, topic: str) -> None:
         self._services.pop(topic, None)
 
-    def has_service(self, topic: str) -> bool:
-        return topic in self._services
-
     # ------------------------------------------------------------------
     # RPC
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.flux.overlay import TBON
 from repro.flux.scheduler import Scheduler
 from repro.hardware.noise import JitterModel
 from repro.hardware.node import Node
-from repro.hardware.platforms import make_node
+from repro.hardware.platforms import NVML_PLATFORMS, make_node
 from repro.simkernel import RandomStreams, Simulator
 from repro.telemetry import Telemetry, telemetry_of
 
@@ -46,7 +46,8 @@ class FluxInstance:
         Turn the run-to-run variability model on (Fig 3/4 experiments);
         off by default so calibration experiments are noise-free.
     nvml_failure_rate:
-        Probability of a misbehaving NVML cap request per call.
+        Probability of a misbehaving NVML cap request per call (NVML
+        platforms only; AMD nodes have no NVML).
     telemetry_enabled:
         When False, the observability hub (:mod:`repro.telemetry`)
         records nothing. Recording is a pure observer either way, so
@@ -91,12 +92,17 @@ class FluxInstance:
         else:
             name_stem = hostname_prefix if hostname_prefix is not None else platform
             self.n_nodes = int(n_nodes)
+            nvml = (
+                {"nvml_failure_rate": nvml_failure_rate}
+                if platform in NVML_PLATFORMS
+                else {}
+            )
             self.nodes = [
                 make_node(
                     platform,
                     f"{name_stem}{i:03d}",
                     rng=self.streams.get(f"node/{i}"),
-                    nvml_failure_rate=nvml_failure_rate,
+                    **nvml,
                 )
                 for i in range(self.n_nodes)
             ]
@@ -243,18 +249,6 @@ class FluxInstance:
                     f"jobs still active at t={self.sim.now:.0f}s (timeout)"
                 )
         return self.sim.now
-
-    # ------------------------------------------------------------------
-    # Lookup helpers
-    # ------------------------------------------------------------------
-    def node_for_rank(self, rank: int) -> Node:
-        return self.nodes[rank]
-
-    def broker_for_rank(self, rank: int) -> Broker:
-        return self.brokers[rank]
-
-    def job_run(self, jobid: int) -> AppRun:
-        return self.app_runs[jobid]
 
     def finish_nested(self, jobid: int) -> None:
         """Complete a ``flux-instance`` pseudo-job (nested instance exit)."""

@@ -166,9 +166,6 @@ class JobManager(Module):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def active_jobs(self) -> List[JobRecord]:
-        return [r for r in self.jobs.values() if r.state.active]
-
     def running_jobs(self) -> List[JobRecord]:
         return [r for r in self.jobs.values() if r.state is JobState.RUNNING]
 

@@ -116,10 +116,6 @@ class TBON:
         self._subtree_cache[root] = span
         return span
 
-    def max_depth(self) -> int:
-        """Tree height (depth of the deepest rank)."""
-        return self.depth(self.size - 1) if self.size > 1 else 0
-
     def ancestors(self, rank: int) -> Iterator[int]:
         """Yield ``rank`` and then each ancestor up to and including 0."""
         r = rank

@@ -33,7 +33,6 @@ class UserInstance(FluxInstance):
         parent: FluxInstance,
         allocation: JobRecord,
         seed: int = 0,
-        fanout: int = 2,
     ) -> None:
         if allocation.state is not JobState.RUNNING:
             raise RuntimeError(
@@ -46,17 +45,12 @@ class UserInstance(FluxInstance):
         super().__init__(
             platform=parent.platform,
             seed=seed,
-            fanout=fanout,
             nodes=nodes,
             sim=parent.sim,
         )
         self.parent = parent
         self.allocation = allocation
         self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         """Exit the user instance: release the parent allocation.
@@ -82,7 +76,6 @@ def spawn_user_instance(
     nnodes: int,
     user: str = "user0",
     seed: int = 0,
-    fanout: int = 2,
     timeout_s: float = 1e6,
 ) -> UserInstance:
     """Request an allocation from ``parent`` and bootstrap an instance.
@@ -99,4 +92,4 @@ def spawn_user_instance(
             raise RuntimeError("simulation drained before allocation was granted")
         if parent.sim.now > deadline:
             raise TimeoutError(f"allocation for {nnodes} nodes not granted in time")
-    return UserInstance(parent, record, seed=seed, fanout=fanout)
+    return UserInstance(parent, record, seed=seed)

@@ -134,13 +134,6 @@ class OPALFirmware:
             gpu.set_cap(self.CAP_SOURCE, derived)
         return derived if derived is not None else float("nan")
 
-    def clear_node_power_cap(self) -> None:
-        self._node_cap_w = None
-        if self._owner is not None:
-            self._owner.bump_power_rev()
-        for gpu in self._gpus:
-            gpu.set_cap(self.CAP_SOURCE, None)
-
     def cpu_throttle_needed(self, node_power_w: float) -> float:
         """Residual-enforcement factor for CPU domains.
 
@@ -189,9 +182,6 @@ class NVMLDriver:
         self.failures = 0
         self.requests = 0
 
-    def get_power_limit(self, index: int) -> Optional[float]:
-        return self._gpus[index].get_cap(self.CAP_SOURCE)
-
     def set_power_limit(self, index: int, watts: float) -> float:
         """Request a cap on one GPU; returns the cap actually in force."""
         gpu = self._gpus[index]
@@ -218,9 +208,6 @@ class NVMLDriver:
             return prev
         gpu.set_cap(self.CAP_SOURCE, float(watts))
         return float(watts)
-
-    def set_all(self, watts: float) -> List[float]:
-        return [self.set_power_limit(i, watts) for i in range(len(self._gpus))]
 
     def clear_all(self) -> None:
         for gpu in self._gpus:

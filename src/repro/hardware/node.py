@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.hardware.domains import DomainKind, DomainSpec, PowerDomain
+from repro.hardware.domains import DomainKind, PowerDomain
 from repro.hardware.firmware import (
     ESMIDriver,
     NVMLDriver,
@@ -62,9 +62,6 @@ class NodeSpec:
     node_cap_min_hard_w: float = 0.0
     sensor_granularity_s: float = 500e-6
     gpus_per_telemetry_domain: int = 1
-
-    def domain_specs(self, kind: DomainKind) -> List[DomainSpec]:
-        return [d for d in self.domains if d.kind is kind]
 
 
 class Node:
@@ -229,14 +226,6 @@ class Node:
     # ------------------------------------------------------------------
     # Demand (set by running workloads)
     # ------------------------------------------------------------------
-    def apply_demand(self, demand: Dict[str, float]) -> None:
-        """Set per-domain demand from a workload, by domain name."""
-        for name, watts in demand.items():
-            dom = self.domains.get(name)
-            if dom is None:
-                raise KeyError(f"{self.hostname}: no such domain {name!r}")
-            dom.set_demand(watts)
-
     def clear_demand(self) -> None:
         for dom in self.domains.values():
             dom.clear_demand()

@@ -16,12 +16,9 @@ PLATFORM_FACTORIES = {
     "generic": make_generic_node,
 }
 
-PLATFORM_SPECS = {
-    "lassen": lassen_node_spec,
-    "tioga": tioga_node_spec,
-    "elcapitan": elcapitan_node_spec,
-    "generic": generic_node_spec,
-}
+#: Platforms whose GPUs are capped through NVML; only their factories
+#: take ``nvml_failure_rate``.
+NVML_PLATFORMS = frozenset({"lassen", "generic"})
 
 
 def make_node(platform: str, hostname: str, **kwargs):
@@ -46,5 +43,5 @@ __all__ = [
     "make_generic_node",
     "make_node",
     "PLATFORM_FACTORIES",
-    "PLATFORM_SPECS",
+    "NVML_PLATFORMS",
 ]

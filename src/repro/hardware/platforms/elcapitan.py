@@ -29,9 +29,6 @@ from repro.hardware.node import Node, NodeSpec
 #: Peak (boost) power of one MI300A socket, liquid-cooled configuration.
 APU_MAX_W = 760.0
 APUS_PER_NODE = 4
-#: Conservative per-node peak the site/cluster tiers budget against:
-#: four APU sockets plus the uncappable slingshot/uncore residual.
-NODE_PEAK_W = APUS_PER_NODE * APU_MAX_W + 100.0
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +70,6 @@ def elcapitan_node_spec() -> NodeSpec:
 def make_elcapitan_node(
     hostname: str,
     rng: Optional[np.random.Generator] = None,
-    **_ignored,
 ) -> Node:
     """Construct one El Capitan-class node."""
     return Node(

@@ -21,9 +21,6 @@ import numpy as np
 from repro.hardware.domains import DomainKind, DomainSpec
 from repro.hardware.node import Node, NodeSpec
 
-#: Idle node power the paper measured (Section IV-C): 2*40 + 30 + 4*50 + 90.
-LASSEN_IDLE_NODE_W = 400.0
-
 GPU_MIN_CAP_W = 100.0
 GPU_MAX_CAP_W = 300.0
 NODE_MAX_W = 3050.0

@@ -81,7 +81,6 @@ def tioga_node_spec() -> NodeSpec:
 def make_tioga_node(
     hostname: str,
     rng: Optional[np.random.Generator] = None,
-    **_ignored,
 ) -> Node:
     """Construct one Tioga node."""
     return Node(

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict
 
-from repro.hardware.domains import DomainKind
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import Node
 
@@ -35,14 +33,6 @@ class SensorReading:
     node_w: float
     node_measured: bool
     domains_w: Dict[str, float] = field(default_factory=dict)
-
-    def total_by_kind(self, kind: DomainKind) -> float:
-        """Sum of readings for all measurable domains of one kind."""
-        total = 0.0
-        for name, watts in self.domains_w.items():
-            if name.startswith(kind.value):
-                total += watts
-        return total
 
 
 class SensorSuite:

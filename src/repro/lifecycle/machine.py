@@ -124,9 +124,6 @@ class LifecycleRegistry:
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
-    def can_transition(self, entity: Entity, new_state: str) -> bool:
-        return new_state in TRANSITIONS.get(self.state_of(entity), ())
-
     def transition(
         self, entity: Entity, new_state: str, reason: str = "", t: float = 0.0
     ) -> None:

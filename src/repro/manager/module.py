@@ -27,9 +27,6 @@ class PowerManager:
     #: Kept so a broker restart can reload an identical node manager.
     policy_factory: Optional[Callable[[], PowerPolicy]] = None
 
-    def node_manager_for_rank(self, rank: int) -> NodeManagerModule:
-        return self.node_managers[rank]
-
     def reload_node_manager(self, rank: int) -> NodeManagerModule:
         """Load a fresh node manager on ``rank`` (post-restart recovery).
 

@@ -37,49 +37,31 @@ from repro.apps.base import CheckpointProfile
 from repro.apps.registry import get_profile
 from repro.manager.policies.base import PowerPolicy
 
+#: Fraction of the compute-phase GPU peak below which the node is
+#: considered inside a checkpoint window; only dips at least this deep
+#: trigger the mode switch, so phase modulation alone does not.
+DIP_FRACTION = 0.5
+#: Headroom (watts) left above measured GPU draw when capping GPUs
+#: down inside a window.
+MARGIN_W = 15.0
+#: Tracking samples of compute-phase history (recent peak).
+WINDOW = 8
+
 
 class CheckpointAwarePolicy(PowerPolicy):
-    """Two-mode (compute / checkpoint) cap controller.
-
-    Parameters
-    ----------
-    dip_fraction:
-        Fraction of the compute-phase GPU peak below which the node is
-        considered inside a checkpoint window. Dimensionless in (0, 1);
-        only dips at least this deep trigger the mode switch, so phase
-        modulation alone does not.
-    margin_w:
-        Headroom (watts) left above measured GPU draw when capping
-        GPUs down inside a window.
-    window:
-        Tracking samples of compute-phase history (recent peak).
-    """
+    """Two-mode (compute / checkpoint) cap controller."""
 
     name = "checkpoint"
 
-    def __init__(
-        self,
-        dip_fraction: float = 0.5,
-        margin_w: float = 15.0,
-        window: int = 8,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 < dip_fraction < 1.0:
-            raise ValueError("dip_fraction must be in (0, 1)")
-        if margin_w < 0:
-            raise ValueError("margin_w must be >= 0")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.dip_fraction = float(dip_fraction)
-        self.margin_w = float(margin_w)
-        self.window = int(window)
         self.schedule: Optional[CheckpointProfile] = None
         self.app: Optional[str] = None
         self.in_checkpoint = False
         self.windows_seen = 0
         self._entered_at: Optional[float] = None
-        self._gpu_peak = deque(maxlen=self.window)
-        self._compute_non_gpu = deque(maxlen=self.window)
+        self._gpu_peak = deque(maxlen=WINDOW)
+        self._compute_non_gpu = deque(maxlen=WINDOW)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -205,9 +187,9 @@ class CheckpointAwarePolicy(PowerPolicy):
         assert m is not None
         peak = max(self._gpu_peak) if self._gpu_peak else 0.0
         if (
-            len(self._gpu_peak) >= self.window // 2 + 1
+            len(self._gpu_peak) >= WINDOW // 2 + 1
             and peak > 0.0
-            and gpu_sum < self.dip_fraction * peak
+            and gpu_sum < DIP_FRACTION * peak
         ):
             # The scheduled dip arrived: enter checkpoint mode.
             self.in_checkpoint = True
@@ -233,7 +215,7 @@ class CheckpointAwarePolicy(PowerPolicy):
         assert self.schedule is not None and self._entered_at is not None
         peak = max(self._gpu_peak) if self._gpu_peak else 0.0
         elapsed = timestamp - self._entered_at
-        recovered = peak > 0.0 and gpu_sum > self.dip_fraction * peak
+        recovered = peak > 0.0 and gpu_sum > DIP_FRACTION * peak
         # The schedule bounds the window: even if the caps we installed
         # prevent the power signal from ever "recovering", exit after
         # the profile's declared duration (plus one-interval slack).
@@ -255,7 +237,7 @@ class CheckpointAwarePolicy(PowerPolicy):
         g_lo, g_hi = m.cap_range("gpu")
         granted = 0.0
         for i, w in enumerate(gpu_w):
-            cap = min(max(w + self.margin_w, g_lo), g_hi)
+            cap = min(max(w + MARGIN_W, g_lo), g_hi)
             m.set_cap("gpu", i, cap)
             granted += cap
         n_sock = m.device_count("socket")

@@ -30,6 +30,15 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.manager.policies.base import PowerPolicy
 
+#: Re-split cadence in seconds. Slow by design: domain demand moves
+#: with application phases, not samples.
+CONTROL_INTERVAL_S = 10.0
+#: Multiplier on measured demand (>= 1) so the granted budget absorbs
+#: spikes between control actions.
+HEADROOM = 1.1
+#: Tracking samples of demand history per domain (recent peak).
+WINDOW = 8
+
 
 def split_node_budget(
     budget_w: float,
@@ -82,40 +91,15 @@ def split_node_budget(
 
 
 class EcoShiftPolicy(PowerPolicy):
-    """Re-split the node limit across CPU and GPU domains by demand.
-
-    Parameters
-    ----------
-    control_interval_s:
-        Re-split cadence in seconds. Slow by design: domain demand
-        moves with application phases, not samples.
-    headroom:
-        Multiplier on measured demand (>= 1) so the granted budget
-        absorbs spikes between control actions.
-    window:
-        Tracking samples of demand history per domain (recent peak).
-    """
+    """Re-split the node limit across CPU and GPU domains by demand,
+    every :data:`CONTROL_INTERVAL_S` seconds."""
 
     name = "ecoshift"
 
-    def __init__(
-        self,
-        control_interval_s: float = 10.0,
-        headroom: float = 1.1,
-        window: int = 8,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if control_interval_s <= 0:
-            raise ValueError("control_interval_s must be > 0")
-        if headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.control_interval_s = float(control_interval_s)
-        self.headroom = float(headroom)
-        self.window = int(window)
-        self._gpu_demand = deque(maxlen=self.window)
-        self._cpu_demand = deque(maxlen=self.window)
+        self._gpu_demand = deque(maxlen=WINDOW)
+        self._cpu_demand = deque(maxlen=WINDOW)
         self.last_split_w: Optional[Tuple[float, float]] = None
         self._timer = None
 
@@ -123,7 +107,7 @@ class EcoShiftPolicy(PowerPolicy):
     def attach(self, manager) -> None:
         super().attach(manager)
         self._timer = manager.add_timer(
-            self.control_interval_s, self._control_tick
+            CONTROL_INTERVAL_S, self._control_tick
         )
 
     def detach(self) -> None:
@@ -178,7 +162,7 @@ class EcoShiftPolicy(PowerPolicy):
         limit = m.node_limit_w
         if limit is None or not m.job_present:
             return
-        if len(self._gpu_demand) < self.window:
+        if len(self._gpu_demand) < WINDOW:
             return  # still warming up; share enforcement holds
         n_gpu = m.device_count("gpu")
         n_sock = m.device_count("socket")
@@ -191,8 +175,8 @@ class EcoShiftPolicy(PowerPolicy):
             budget,
             boxes=[(n_sock * s_lo, n_sock * s_hi), (n_gpu * g_lo, n_gpu * g_hi)],
             demands_w=[
-                max(self._cpu_demand) * self.headroom,
-                max(self._gpu_demand) * self.headroom,
+                max(self._cpu_demand) * HEADROOM,
+                max(self._gpu_demand) * HEADROOM,
             ],
         )
         self.last_split_w = (cpu_alloc, gpu_alloc)
@@ -217,7 +201,7 @@ class EcoShiftPolicy(PowerPolicy):
     def describe(self) -> dict:
         return {
             "policy": self.name,
-            "headroom": self.headroom,
+            "headroom": HEADROOM,
             "last_split_w": self.last_split_w,
             "demand_fill": (len(self._cpu_demand), len(self._gpu_demand)),
         }

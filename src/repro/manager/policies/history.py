@@ -19,36 +19,27 @@ from typing import List, Optional
 
 from repro.manager.policies.base import PowerPolicy
 
+#: Tracking samples of history per GPU (2 s apart: ~30 s of history).
+WINDOW = 15
+#: Headroom above the observed peak, absorbing demand spikes between
+#: control actions.
+MARGIN_W = 20.0
+
 
 class HistoryPolicy(PowerPolicy):
-    """Cap each GPU at (recent peak + margin), within the node share.
-
-    Parameters
-    ----------
-    window:
-        Number of tracking samples of history per GPU (2 s apart by
-        default — 15 samples ≈ 30 s of history).
-    margin_w:
-        Headroom above the observed peak, absorbing demand spikes
-        between control actions.
-    """
+    """Cap each GPU at (recent peak + :data:`MARGIN_W`), within the node
+    share, once :data:`WINDOW` samples of history exist."""
 
     name = "history"
 
-    def __init__(self, window: int = 15, margin_w: float = 20.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if margin_w < 0:
-            raise ValueError("margin_w must be >= 0")
-        self.window = int(window)
-        self.margin_w = float(margin_w)
         self._history: List[deque] = []
 
     def attach(self, manager) -> None:
         super().attach(manager)
         self._history = [
-            deque(maxlen=self.window)
+            deque(maxlen=WINDOW)
             for _ in range(manager.device_count("gpu"))
         ]
 
@@ -73,16 +64,16 @@ class HistoryPolicy(PowerPolicy):
         lo, hi = self.manager.cap_range("gpu")
         for i, watts in enumerate(gpu_w):
             self._history[i].append(watts)
-            if len(self._history[i]) < self.window:
+            if len(self._history[i]) < WINDOW:
                 continue  # not enough history yet
-            cap = max(self._history[i]) + self.margin_w
+            cap = max(self._history[i]) + MARGIN_W
             cap = min(max(cap, lo), ceiling, hi)
             self.manager.set_cap("gpu", i, cap)
 
     def reset_job_state(self) -> None:
         assert self.manager is not None
         self._history = [
-            deque(maxlen=self.window)
+            deque(maxlen=WINDOW)
             for _ in range(self.manager.device_count("gpu"))
         ]
 
@@ -92,7 +83,7 @@ class HistoryPolicy(PowerPolicy):
     def restore(self, state) -> None:
         assert self.manager is not None
         self._history = [
-            deque(maxlen=self.window)
+            deque(maxlen=WINDOW)
             for _ in range(self.manager.device_count("gpu"))
         ]
         for h, saved in zip(self._history, state.get("history") or []):
@@ -101,7 +92,7 @@ class HistoryPolicy(PowerPolicy):
     def describe(self) -> dict:
         return {
             "policy": self.name,
-            "window": self.window,
-            "margin_w": self.margin_w,
+            "window": WINDOW,
+            "margin_w": MARGIN_W,
             "history_fill": [len(h) for h in self._history],
         }

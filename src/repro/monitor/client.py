@@ -60,11 +60,6 @@ class JobPowerData:
     node_error: Dict[str, str] = field(default_factory=dict)
 
     @property
-    def degraded_hosts(self) -> List[str]:
-        """Hosts whose data came back as an error record (no samples)."""
-        return sorted(self.node_error)
-
-    @property
     def hostnames(self) -> List[str]:
         return sorted(self.node_complete)
 
@@ -85,24 +80,9 @@ class JobPowerData:
             raise ValueError("no telemetry rows")
         return sum(r[column] for r in self.rows) / len(self.rows)
 
-    def per_node_mean(self, column: str) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for host in self.hostnames:
-            rows = self.samples_for(host)
-            if rows:
-                out[host] = sum(r[column] for r in rows) / len(rows)
-        return out
-
     def max_node_power_w(self) -> float:
         """Max sampled node power across all nodes and times."""
         return max(r["node_w"] for r in self.rows)
-
-    def cluster_power_series(self) -> List[tuple]:
-        """(timestamp, summed node power) series across the job's nodes."""
-        by_t: Dict[float, float] = {}
-        for r in self.rows:
-            by_t[r["timestamp"]] = by_t.get(r["timestamp"], 0.0) + r["node_w"]
-        return sorted(by_t.items())
 
     # ------------------------------------------------------------------
     # CSV (the client's user-facing artefact)

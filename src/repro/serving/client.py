@@ -63,22 +63,12 @@ class ServingClient:
     def cluster_power(self, cluster: str = "default") -> Dict[str, Any]:
         return self.request("GET", f"/v1/clusters/{cluster}/power")
 
-    def site_power(self) -> Dict[str, Any]:
-        return self.request("GET", "/v1/site/power")
-
     def nodes(self, cluster: str = "default", *,
               response_format: str = "concise",
               offset: int = 0, limit: int = 100) -> Dict[str, Any]:
         return self.request(
             "GET", f"/v1/clusters/{cluster}/nodes",
             {"response_format": response_format, "offset": offset, "limit": limit},
-        )
-
-    def get_job(self, jobid: int, cluster: str = "default", *,
-                response_format: str = "detailed") -> Dict[str, Any]:
-        return self.request(
-            "GET", f"/v1/clusters/{cluster}/jobs/{jobid}",
-            {"response_format": response_format},
         )
 
     def job_output(self, jobid: int, cluster: str = "default") -> Dict[str, Any]:

@@ -75,6 +75,12 @@ ACCOUNTING_OP_MIX: Tuple[Tuple[str, float], ...] = (
     ("submit_job", 0.04),
 )
 
+#: Open-loop arrival rate (requests per *virtual* second; shapes the
+#: client interleaving, not the wall clock).
+ARRIVAL_RATE_PER_S = 200.0
+#: Probability a read asks for ``detailed`` instead of ``concise``.
+DETAILED_FRACTION = 0.3
+
 #: Apps the generator submits (portable on every platform).
 SUBMIT_APPS: Tuple[str, ...] = ("gemm", "quicksilver", "lammps")
 
@@ -88,12 +94,7 @@ class LoadProfile:
     #: Jobs submitted (and partially run) before the storm, so read ops
     #: have something to read from request one.
     warmup_jobs: int = 4
-    #: Open-loop arrival rate (requests per *virtual* second; shapes the
-    #: client interleaving, not the wall clock).
-    arrival_rate_per_s: float = 200.0
     op_mix: Tuple[Tuple[str, float], ...] = DEFAULT_OP_MIX
-    #: Probability a read asks for ``detailed`` instead of ``concise``.
-    detailed_fraction: float = 0.3
     #: Advance the engine ``advance_dt_s`` simulated seconds after every
     #: N executed requests (0 freezes time for the whole storm).
     advance_every: int = 50
@@ -172,7 +173,7 @@ def generate_trace(seed: int, profile: LoadProfile,
     trace: List[TracedRequest] = []
     t = 0.0
     for seq in range(profile.total_requests):
-        t += float(arrivals.exponential(1.0 / profile.arrival_rate_per_s))
+        t += float(arrivals.exponential(1.0 / ARRIVAL_RATE_PER_S))
         client = int(arrivals.integers(profile.clients))
         draw = float(ops_rng.random())
         op = profile.op_mix[-1][0]
@@ -185,7 +186,7 @@ def generate_trace(seed: int, profile: LoadProfile,
         if op in ("get_job", "job_output") and known_jobs == 0:
             op = "list_jobs"
 
-        fmt = "detailed" if float(payload.random()) < profile.detailed_fraction \
+        fmt = "detailed" if float(payload.random()) < DETAILED_FRACTION \
             else "concise"
         method, path = "GET", ""
         params: Optional[Dict[str, Any]] = None

@@ -61,11 +61,6 @@ DETAILED_JOB_FIELDS = CONCISE_JOB_FIELDS + (
     "node_limit_w",
 )
 
-#: Tenant job views add the resolved project on top of DETAILED (only
-#: when a tenancy coordinator is attached — anonymous clusters keep the
-#: exact historical field set the goldens pin).
-TENANT_JOB_FIELDS = DETAILED_JOB_FIELDS + ("project",)
-
 #: Accounting views (``/v1/accounting``): same concise ⊂ detailed
 #: projection contract as job views.
 CONCISE_ACCOUNTING_FIELDS = (

@@ -238,10 +238,6 @@ class Process(Waitable):
 
     # -- public API ----------------------------------------------------
     @property
-    def alive(self) -> bool:
-        return self._alive
-
-    @property
     def result(self) -> Any:
         """Return value of the generator; raises if it errored or is alive."""
         if self._alive:

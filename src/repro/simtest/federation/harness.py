@@ -28,9 +28,6 @@ from repro.flux.jobspec import Jobspec
 from repro.monitor.client import JobPowerData
 from repro.simkernel.canonical import canonical_digest
 from repro.simtest.harness import (
-    DEFAULT_CHECK_INTERVAL_S,
-    DEFAULT_MAX_EVENTS,
-    DEFAULT_TIMEOUT_S,
     DIGEST_COUNTERS,
     SimtestResult,
     counter_totals,
@@ -141,9 +138,6 @@ def _site_config(scenario: FederatedScenario) -> SiteConfig:
 def run_federated_scenario(
     scenario: FederatedScenario,
     checkers: Optional[List[InvariantChecker]] = None,
-    check_interval_s: float = DEFAULT_CHECK_INTERVAL_S,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    max_events: int = DEFAULT_MAX_EVENTS,
     setup=None,
 ) -> SimtestResult:
     """Execute ``scenario`` under site + per-cluster invariant checkers.
@@ -207,9 +201,6 @@ def run_federated_scenario(
             (name, view.cluster, view.job_telemetry)
             for name, view in ctx.views.items()
         ],
-        check_interval_s=check_interval_s,
-        timeout_s=timeout_s,
-        max_events=max_events,
     )
 
     # Digest -------------------------------------------------------------

@@ -3,7 +3,7 @@
 The harness builds a :class:`~repro.cluster.PowerManagedCluster` from a
 :class:`~repro.simtest.scenario.Scenario`, schedules its job arrivals
 and budget retunes, and interleaves a periodic *check tick* with the
-simulation: every ``check_interval_s`` simulated seconds each checker
+simulation: every :data:`CHECK_INTERVAL_S` simulated seconds each checker
 inspects the live cluster. After the last job completes (plus a drain
 window) the per-job telemetry is fetched and the end-of-run checkers
 get a final look.
@@ -38,12 +38,12 @@ from repro.simtest.scenario import Scenario, TenantMix
 
 #: How often the invariant tick runs (simulated seconds). Matches the
 #: monitor's default sampling period so every sampling epoch is seen.
-DEFAULT_CHECK_INTERVAL_S = 2.0
+CHECK_INTERVAL_S = 2.0
 
 #: Hard ceilings that turn a hung scenario into a reported violation
 #: instead of an unbounded run.
-DEFAULT_TIMEOUT_S = 500_000.0
-DEFAULT_MAX_EVENTS = 5_000_000
+TIMEOUT_S = 500_000.0
+MAX_EVENTS = 5_000_000
 
 #: Counters whose totals feed the digest (stable, deterministic ones).
 DIGEST_COUNTERS = (
@@ -93,9 +93,6 @@ class SimtestResult:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def first_violation(self) -> Optional[Violation]:
-        return self.violations[0] if self.violations else None
 
     def summary(self) -> str:
         if self.ok:
@@ -169,9 +166,6 @@ def run_checked(
     tick_groups: Sequence[CheckGroup],
     end_groups: Sequence[CheckGroup],
     fetches: Sequence[Tuple[Optional[str], Any, Dict[int, JobPowerData]]],
-    check_interval_s: float,
-    timeout_s: float,
-    max_events: int,
     stop_on_first: bool = False,
     before_tick: Optional[Callable[[], None]] = None,
 ) -> None:
@@ -198,9 +192,11 @@ def run_checked(
         ctx.tick_index += 1
         result.n_ticks += 1
 
-    tick_event = sim.schedule_periodic(check_interval_s, _tick, start_delay=0.0)
+    tick_event = sim.schedule_periodic(
+        CHECK_INTERVAL_S, _tick, start_delay=0.0
+    )
 
-    deadline = sim.now + timeout_s
+    deadline = sim.now + TIMEOUT_S
     count = 0
     timed_out = False
     while pending():
@@ -216,7 +212,7 @@ def run_checked(
             timed_out = True
             break
         count += 1
-        if count > max_events or sim.now > deadline:
+        if count > MAX_EVENTS or sim.now > deadline:
             result.violations.append(
                 Violation(
                     invariant="liveness", t=sim.now,
@@ -284,9 +280,6 @@ def _tenancy_config(mix: TenantMix, global_cap_w: Optional[float]):
 def run_scenario(
     scenario: Scenario,
     checkers: Optional[List[InvariantChecker]] = None,
-    check_interval_s: float = DEFAULT_CHECK_INTERVAL_S,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    max_events: int = DEFAULT_MAX_EVENTS,
     stop_on_first: bool = False,
     setup=None,
 ) -> SimtestResult:
@@ -439,9 +432,6 @@ def run_scenario(
         tick_groups=groups,
         end_groups=groups,
         fetches=[(None, cluster, ctx.job_telemetry)],
-        check_interval_s=check_interval_s,
-        timeout_s=timeout_s,
-        max_events=max_events,
         stop_on_first=stop_on_first,
         before_tick=inject_serving,
     )

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, Optional, Type
 
 from repro.simtest.harness import SimtestResult, run_scenario
-from repro.simtest.invariants import InvariantChecker, Violation, default_checkers
-from repro.simtest.scenario import JobEntry, Scenario
+from repro.simtest.invariants import Violation, default_checkers
+from repro.simtest.scenario import Scenario
 
 ARTIFACT_VERSION = 1
 
@@ -38,14 +38,13 @@ ARTIFACT_VERSION = 1
 #: is stop-on-first, so failed candidates are cheap; this bounds the
 #: pathological case where nothing ever reproduces.
 DEFAULT_MAX_RUNS = 200
+#: Smallest cluster the shrinker's halving pass reaches.
+MIN_NODES = 2
 
 Oracle = Callable[[Scenario], Optional[Violation]]
 
 
-def make_oracle(
-    invariant: str,
-    checkers_factory: Callable[[], List[InvariantChecker]] = default_checkers,
-) -> Oracle:
+def make_oracle(invariant: str) -> Oracle:
     """Build the shrink predicate: does the scenario still break ``invariant``?
 
     A fresh checker set per run (checkers are stateful); the first
@@ -56,7 +55,7 @@ def make_oracle(
 
     def oracle(scenario: Scenario) -> Optional[Violation]:
         result = run_scenario(
-            scenario, checkers=checkers_factory(), stop_on_first=True
+            scenario, checkers=default_checkers(), stop_on_first=True
         )
         for v in result.violations:
             if v.invariant == invariant:
@@ -106,7 +105,6 @@ def shrink_scenario(
     violation: Violation,
     oracle: Optional[Oracle] = None,
     max_runs: int = DEFAULT_MAX_RUNS,
-    min_nodes: int = 2,
 ) -> ShrinkReport:
     """Greedy multi-pass shrink preserving ``violation.invariant``."""
     if oracle is None:
@@ -174,9 +172,9 @@ def shrink_scenario(
             else:
                 i += 1
 
-        # Pass 3: smaller cluster (halving, floor min_nodes).
-        while current.n_nodes > min_nodes:
-            target = max(min_nodes, current.n_nodes // 2)
+        # Pass 3: smaller cluster (halving, floor MIN_NODES).
+        while current.n_nodes > MIN_NODES:
+            target = max(MIN_NODES, current.n_nodes // 2)
             candidate = _clamp_to_cluster(current, target)
             v = still_fails(candidate)
             if v is None:

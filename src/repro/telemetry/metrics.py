@@ -153,9 +153,6 @@ class Gauge(Metric):
             return
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -393,13 +390,8 @@ class MetricsRegistry:
     # Exporters
     # ------------------------------------------------------------------
     def to_json(self, indent: Optional[int] = None) -> str:
-        """Snapshot as a JSON document (see :meth:`from_json`)."""
+        """Snapshot as a JSON document."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> Dict[str, Any]:
-        """Parse :meth:`to_json` output back into a snapshot dict."""
-        return json.loads(text)
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (HELP/TYPE + samples)."""
@@ -423,23 +415,6 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{name}{_render_labels(key)} {m.value}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse_prometheus(text: str) -> Dict[str, float]:
-        """Parse exposition text into ``{series_signature: value}``.
-
-        The signature is ``name{k="v",...}`` with labels sorted — the
-        exact strings :meth:`to_prometheus` emits — so a parse of the
-        export compares equal sample-for-sample (round-trip check).
-        """
-        out: Dict[str, float] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            sig, _, value = line.rpartition(" ")
-            out[sig] = float(value)
-        return out
 
     # ------------------------------------------------------------------
     # Human-readable summary

@@ -187,9 +187,6 @@ class TenancyCoordinator:
             for jobid in job_nodes
         }
 
-    def project_weights(self) -> Dict[str, float]:
-        return dict(self._weights)
-
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ pin.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.cluster import PowerManagedCluster
 from repro.flux.jobspec import Jobspec
@@ -130,10 +130,3 @@ def run_demo(
             fh.write(coord.accounting_csv())
         out(f"wrote accounting CSV to {csv_path}")
     return coord
-
-
-def demo_lines(seed: int = 0) -> List[str]:
-    """The demo's report as a list of lines (test-friendly)."""
-    lines: List[str] = []
-    run_demo(seed, out=lines.append)
-    return lines

@@ -76,7 +76,7 @@ def test_boxplot_stats():
     b = boxplot_stats([1.0, 2.0, 3.0, 4.0, 5.0])
     assert b.minimum == 1.0 and b.maximum == 5.0
     assert b.median == 3.0
-    assert b.iqr == pytest.approx(2.0)
+    assert b.q3 - b.q1 == pytest.approx(2.0)
     assert b.spread_pct == pytest.approx((5 - 1) / 3 * 100)
 
 

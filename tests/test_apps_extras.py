@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.apps.extras import (
-    KRIPKE_TIOGA_FAIL_AT_S,
-    kripke_jobspec_params,
-)
 from repro.apps.registry import get_profile, list_apps
 from repro.flux.instance import FluxInstance
 from repro.flux.jobspec import Jobspec, JobState
+
+#: Kripke's Tioga runs crash this many seconds in (Section V).
+KRIPKE_TIOGA_FAIL_AT_S = 15.0
 
 
 def test_extras_registered():
@@ -45,14 +44,8 @@ def test_kripke_runs_on_lassen():
 def test_kripke_fails_on_tioga():
     """Section V: 'Kripke execution failed on the Tioga system'."""
     inst = FluxInstance(platform="tioga", n_nodes=2, seed=27)
-    params = kripke_jobspec_params("tioga")
+    params = {"fail_at_s": KRIPKE_TIOGA_FAIL_AT_S}
     rec = inst.submit(Jobspec(app="kripke", nnodes=2, params=params))
     inst.run_until_complete(timeout_s=100_000)
     assert rec.state is JobState.FAILED
     assert rec.t_end <= KRIPKE_TIOGA_FAIL_AT_S + 5.0
-
-
-def test_kripke_params_untouched_on_lassen():
-    params = kripke_jobspec_params("lassen", work_scale=2.0)
-    assert params == {"work_scale": 2.0}
-    assert "fail_at_s" not in params

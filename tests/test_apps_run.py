@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.registry import get_profile
 from repro.apps.run import AppRun
+from repro.variorum import cap_each_gpu_power_limit
 from repro.flux.jobspec import JobRecord, Jobspec
 from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
@@ -40,14 +41,14 @@ def test_jitter_factor_scales_runtime():
 
 def test_gpu_cap_slows_gemm():
     sim, nodes, run = make_run("gemm")
-    nodes[0].nvml.set_all(100.0)
+    cap_each_gpu_power_limit(nodes[0], 100.0)
     sim.run(until=5000.0)
     assert run.runtime_s > 274.0 * 1.7  # deep cap hurts a lot
 
 
 def test_gpu_cap_barely_affects_quicksilver():
     sim, nodes, run = make_run("quicksilver", work_scale=10.0)
-    nodes[0].nvml.set_all(100.0)
+    cap_each_gpu_power_limit(nodes[0], 100.0)
     sim.run(until=5000.0)
     assert run.runtime_s < 130.0 * 1.10  # the cap-insensitive app
 
@@ -55,7 +56,7 @@ def test_gpu_cap_barely_affects_quicksilver():
 def test_slowest_node_paces_the_job():
     """Bulk-synchronous: capping one node slows the whole job."""
     sim, nodes, run = make_run("gemm", n_nodes=3)
-    nodes[2].nvml.set_all(100.0)
+    cap_each_gpu_power_limit(nodes[2], 100.0)
     sim.run(until=5000.0)
     assert run.runtime_s > 274.0 * 1.7
 
@@ -97,7 +98,7 @@ def test_phases_stretch_under_caps():
         sim = Simulator()
         node = make_lassen_node("n0")
         if cap:
-            node.nvml.set_all(cap)
+            cap_each_gpu_power_limit(node, cap)
         record = JobRecord(jobid=1, spec=Jobspec(app="gemm", nnodes=1))
         AppRun(sim, record, [node], profile, work_scale=2.0)
         highs = []

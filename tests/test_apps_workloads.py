@@ -1,7 +1,6 @@
 """Unit tests for the workload/queue generators."""
 
 import numpy as np
-import pytest
 
 from repro.apps.workloads import PAPER_QUEUE_MIX, make_random_queue
 
@@ -69,56 +68,3 @@ def test_job_names_unique():
     queue = make_random_queue(np.random.default_rng(1))
     names = [e.spec.name for e in queue]
     assert len(set(names)) == len(names)
-
-
-# ---------------------------------------------------------------------------
-# CSV round-trip
-# ---------------------------------------------------------------------------
-
-def test_queue_csv_roundtrip():
-    from repro.apps.workloads import queue_from_csv, queue_to_csv
-
-    queue = make_random_queue(
-        np.random.default_rng(4),
-        work_scales={"gemm": 2.0, "lammps": 3.0},
-        submit_spread_s=50.0,
-    )
-    text = queue_to_csv(queue)
-    parsed = queue_from_csv(text)
-    assert len(parsed) == len(queue)
-    for a, b in zip(queue, parsed):
-        assert a.spec.app == b.spec.app
-        assert a.spec.nnodes == b.spec.nnodes
-        assert a.spec.params.get("work_scale", 1.0) == pytest.approx(
-            b.spec.params.get("work_scale", 1.0)
-        )
-        assert a.submit_offset_s == pytest.approx(b.submit_offset_s)
-
-
-def test_queue_csv_rejects_garbage():
-    from repro.apps.workloads import queue_from_csv
-
-    with pytest.raises(ValueError):
-        queue_from_csv("not,a,queue")
-    with pytest.raises(ValueError):
-        queue_from_csv("app,nnodes,work_scale,submit_offset_s,name\nonly,two")
-
-
-def test_queue_csv_replays_identically():
-    """A replayed queue drives the same campaign as the original."""
-    from repro.apps.workloads import queue_from_csv, queue_to_csv
-    from repro.flux.instance import FluxInstance
-
-    queue = make_random_queue(
-        np.random.default_rng(5), mix={"laghos": 3}, work_scales={"laghos": 2.0}
-    )
-    replay = queue_from_csv(queue_to_csv(queue))
-
-    def run(q):
-        inst = FluxInstance(platform="lassen", n_nodes=8, seed=9)
-        for entry in q:
-            inst.submit(entry.spec)
-        inst.run_until_complete(timeout_s=500_000)
-        return inst.jobmanager.makespan_s()
-
-    assert run(queue) == pytest.approx(run(replay))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from repro.bench import load_report
+from repro.bench import validate_report
 from repro.cli import main
 
 
@@ -21,7 +21,8 @@ def test_bench_quick_writes_schema_valid_artifact(tmp_path, capsys):
     )
     assert rc == 0
     path = tmp_path / "BENCH_smoke.json"
-    data = load_report(str(path))  # load_report validates the schema
+    data = json.loads(path.read_text())
+    validate_report(data)
     assert data["quick"] is True
     assert data["name"] == "smoke"
     assert data["repeats"] == 1
@@ -66,5 +67,6 @@ def test_bench_repeats_recorded(tmp_path):
         ]
     )
     assert rc == 0
-    data = load_report(str(tmp_path / "BENCH_rep.json"))
+    data = json.loads((tmp_path / "BENCH_rep.json").read_text())
+    validate_report(data)
     assert data["repeats"] == 2

@@ -42,7 +42,7 @@ def test_manager_config_loads_manager():
     job = c.submit(Jobspec(app="gemm", nnodes=2))
     c.run_for(30.0)
     # 2000 W over 2 nodes -> 1000 W shares pushed to node managers.
-    assert c.manager.node_manager_for_rank(0).node_limit_w == pytest.approx(1000.0)
+    assert c.manager.node_managers[0].node_limit_w == pytest.approx(1000.0)
     c.run_until_complete(timeout_s=100000)
 
 

@@ -88,7 +88,7 @@ def test_manager_cap_installs_the_vendor_source_and_clear_removes_it(
     _enable_amd_capping(inst.nodes)
     nm = attach_manager(
         inst, ManagerConfig(global_cap_w=None, policy="proportional")
-    ).node_manager_for_rank(0)
+    ).node_managers[0]
     devices = nm._devices(domain)
     assert devices
     lo, hi = nm.cap_range(domain)
@@ -110,7 +110,7 @@ def test_refused_device_cap_counts_a_failure_and_records_nothing():
     inst = FluxInstance(platform="tioga", n_nodes=1, seed=5)
     nm = attach_manager(
         inst, ManagerConfig(global_cap_w=None, policy="proportional")
-    ).node_manager_for_rank(0)
+    ).node_managers[0]
     nm.set_cap("gpu", 0, 300.0)
     assert nm.cap_request_failures == 1
     assert nm._last_caps["gpu"][0] is None
@@ -184,6 +184,6 @@ def test_amd_device_caps_do_not_outlive_their_job(platform):
     assert all(dom.get_cap("esmi") is not None for dom in oams)  # job capped
     cluster.run_until_complete()
     cluster.run_for(10.0)
-    nm = cluster.manager.node_manager_for_rank(1)
+    nm = cluster.manager.node_managers[1]
     assert nm._last_caps["gpu"] == [None] * len(oams)
     assert [dom.get_cap("esmi") for dom in oams] == [None] * len(oams)

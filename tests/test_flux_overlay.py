@@ -30,7 +30,9 @@ def test_depth():
 
 
 def test_max_depth_single_node():
-    assert TBON(size=1).max_depth() == 0
+    t = TBON(size=1)
+    assert t.depth(0) == 0
+    assert t.children(0) == []
 
 
 def test_route_to_self_is_single_hop_free():

@@ -200,7 +200,7 @@ def test_idle_node_buffers_stay_empty():
     )
     cluster.submit(Jobspec(app="quicksilver", nnodes=1, params={"work_scale": 40}))
     cluster.run_for(200.0)
-    busy, idle = (cluster.manager.node_manager_for_rank(r) for r in (0, 1))
+    busy, idle = (cluster.manager.node_managers[r] for r in (0, 1))
     if not busy.job_present:
         busy, idle = idle, busy
     assert busy.job_present and not idle.job_present

@@ -74,15 +74,6 @@ def test_opal_soft_cap_accepted_between_soft_and_hard_min():
     assert node.opal.node_cap_w == 700.0
 
 
-def test_opal_clear_removes_gpu_caps():
-    node = make_lassen_node("n0")
-    node.opal.set_node_power_cap(1200.0)
-    node.opal.clear_node_power_cap()
-    assert node.opal.node_cap_w is None
-    for gpu in node.gpu_domains:
-        assert gpu.get_cap("opal") is None
-
-
 def test_opal_cpu_throttle_when_over_cap():
     node = make_lassen_node("n0")
     node.opal.set_node_power_cap(1000.0)
@@ -106,7 +97,7 @@ def test_opal_no_cpu_throttle_under_cap():
 
 def test_nvml_sets_caps_within_range():
     node = make_lassen_node("n0")
-    caps = node.nvml.set_all(150.0)
+    caps = [node.nvml.set_power_limit(i, 150.0) for i in range(4)]
     assert caps == [150.0] * 4
     for gpu in node.gpu_domains:
         assert gpu.get_cap("nvml") == 150.0
@@ -122,7 +113,8 @@ def test_nvml_rejects_out_of_range():
 
 def test_nvml_clear_all():
     node = make_lassen_node("n0")
-    node.nvml.set_all(150.0)
+    for i in range(4):
+        node.nvml.set_power_limit(i, 150.0)
     node.nvml.clear_all()
     for gpu in node.gpu_domains:
         assert gpu.get_cap("nvml") is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.domains import DomainKind
-from repro.hardware.platforms import PLATFORM_SPECS, make_node
+from repro.hardware.platforms import PLATFORM_FACTORIES, make_node
 from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
 from repro.hardware.platforms.generic import make_generic_node
@@ -91,9 +91,17 @@ def test_make_node_rejects_unknown_platform():
         make_node("cray-1", "x")
 
 
-@pytest.mark.parametrize("platform", sorted(PLATFORM_SPECS))
+@pytest.mark.parametrize("platform", sorted(PLATFORM_FACTORIES))
+def test_make_node_rejects_unknown_keyword(platform):
+    # No factory swallows keywords: a misspelt or deleted option fails
+    # on every platform alike.
+    with pytest.raises(TypeError):
+        make_node(platform, "n0", sensor_noise_sigma_w=1.0)
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORM_FACTORIES))
 def test_all_platform_specs_are_valid(platform):
-    spec = PLATFORM_SPECS[platform]()
+    spec = make_node(platform, "n0").spec
     assert spec.domains
     for ds in spec.domains:
         assert ds.max_w >= ds.idle_w >= 0
@@ -120,20 +128,17 @@ def test_total_power_clipped_by_opal_cap():
 
 def test_apply_demand_by_name():
     node = make_lassen_node("n0")
-    node.apply_demand({"cpu0": 200.0, "gpu1": 250.0})
+    node.domains["cpu0"].set_demand(200.0)
+    node.domains["gpu1"].set_demand(250.0)
     assert node.domains["cpu0"].demand_w == 200.0
     assert node.domains["gpu1"].demand_w == 250.0
-
-
-def test_apply_demand_unknown_domain_raises():
-    node = make_lassen_node("n0")
-    with pytest.raises(KeyError):
-        node.apply_demand({"gpu9": 100.0})
+    assert node.total_power_w() == pytest.approx(400.0 + 160.0 + 200.0)
 
 
 def test_clear_demand_returns_to_idle():
     node = make_lassen_node("n0")
-    node.apply_demand({"gpu0": 300.0, "cpu0": 250.0})
+    node.domains["gpu0"].set_demand(300.0)
+    node.domains["cpu0"].set_demand(250.0)
     node.clear_demand()
     assert node.total_power_w() == pytest.approx(400.0)
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.hardware.domains import DomainKind
 from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
+from repro.monitor.client import component_powers
+from repro.variorum import get_node_power_json
 
 
 def test_lassen_reading_reports_all_component_domains():
@@ -50,6 +51,6 @@ def test_timestamp_quantised_to_sensor_granularity():
 def test_total_by_kind_aggregates():
     node = make_lassen_node("n0")
     node.domains["gpu0"].set_demand(300.0)
-    r = node.sensors.read(0.0)
-    assert r.total_by_kind(DomainKind.GPU) == pytest.approx(300.0 + 3 * 50.0)
-    assert r.total_by_kind(DomainKind.CPU) == pytest.approx(80.0)
+    totals = component_powers(get_node_power_json(node, 0.0))
+    assert totals["gpu_w"] == pytest.approx(300.0 + 3 * 50.0)
+    assert totals["cpu_w"] == pytest.approx(80.0)

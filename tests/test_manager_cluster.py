@@ -12,7 +12,7 @@ def test_unconstrained_cluster_never_caps(lassen4):
     rec = lassen4.submit(Jobspec(app="gemm", nnodes=4))
     lassen4.run_for(30.0)
     assert mgr.cluster.per_node_share_w() is None
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     assert nm.node_limit_w is None
     lassen4.run_until_complete()
 
@@ -27,7 +27,7 @@ def test_share_is_budget_over_active_nodes(lassen4):
     # 4 active nodes, 4800 W budget -> 1200 W each.
     assert mgr.cluster.per_node_share_w() == pytest.approx(1200.0)
     for rank in range(4):
-        assert mgr.node_manager_for_rank(rank).node_limit_w == pytest.approx(1200.0)
+        assert mgr.node_managers[rank].node_limit_w == pytest.approx(1200.0)
     lassen4.run_until_complete(timeout_s=100000)
 
 
@@ -96,7 +96,7 @@ def test_static_mode_pushes_no_shares(lassen4):
     lassen4.submit(Jobspec(app="laghos", nnodes=4))
     lassen4.run_until_complete()
     assert mgr.share_log == []
-    assert mgr.node_manager_for_rank(0).node_limit_w is None
+    assert mgr.node_managers[0].node_limit_w is None
 
 
 def test_cluster_manager_describe(lassen4):
@@ -127,7 +127,7 @@ def test_custom_policy_factory(lassen4):
         ManagerConfig(global_cap_w=9600.0, policy="static"),
         policy_factory=MyPolicy,
     )
-    assert mgr.node_manager_for_rank(0).policy.name == "mine"
+    assert mgr.node_managers[0].policy.name == "mine"
 
 
 def test_detach_unloads_everything(lassen4):

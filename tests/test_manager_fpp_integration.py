@@ -26,7 +26,7 @@ def test_fpp_probes_quicksilver_then_converges():
         Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 40})
     )
     cluster.run_for(400.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     desc = nm.policy.describe()
     # Stable 20 s period: all controllers converged after the probe.
     assert all(c["converged"] for c in desc["controllers"])
@@ -42,7 +42,7 @@ def test_fpp_detects_quicksilver_period():
         Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 40})
     )
     cluster.run_for(200.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     periods = [
         c["period_s"]
         for c in nm.policy.describe()["controllers"]
@@ -58,7 +58,7 @@ def test_fpp_controllers_are_per_gpu_independent():
     cluster = fpp_cluster()
     cluster.submit(Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 40}))
     cluster.run_for(100.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     # Force one controller into a different state; others unaffected.
     nm.policy.controllers[2].converged = True
     nm.policy.controllers[2].t_prev = 99.0
@@ -71,7 +71,7 @@ def test_fpp_custom_params_respected():
     cluster = fpp_cluster(params=params)
     cluster.submit(Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 30}))
     cluster.run_for(100.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     assert nm.policy.params.p_reduce_w == 10.0
     # With a 30 s cadence, at least two control ticks happened by t=100
     # and the probe depth is 10 W.
@@ -86,7 +86,7 @@ def test_fpp_share_decrease_is_enforced_immediately():
     cluster = fpp_cluster(n_nodes=4, cap=9600.0)
     gemm = cluster.submit(Jobspec(app="gemm", nnodes=2, params={"work_scale": 2}))
     cluster.run_for(60.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     caps_before = list(nm.policy.caps_w)
     # Second job arrives: shares drop from 3050 (peak) to 2400.
     cluster.submit(Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 30}))

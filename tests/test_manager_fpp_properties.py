@@ -51,6 +51,10 @@ def test_branch_selection_matches_algorithm1(t_prev, delta):
     ctl.period_s = t_prev
     cap = ctl.next_cap(253.0, 100.0, 253.0)  # first interval: probe
     ctl.period_s = t_prev + delta
+    # The controller sees the rounded difference, which can fall on the
+    # other side of a threshold than ``delta`` (11.21... + 5.0 - 11.21...
+    # is 4.99...), so the expected branch is computed from it too.
+    delta = ctl.period_s - t_prev
     new_cap = ctl.next_cap(cap, 100.0, 253.0)
     if abs(delta) <= p.converge_th_s:
         assert ctl.converged and new_cap == cap

@@ -42,7 +42,7 @@ def test_socket_caps_installed_per_socket():
     cluster = socket_cluster()
     cluster.submit(Jobspec(app="nqueens", nnodes=2, launcher="non-mpi"))
     cluster.run_for(30.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     caps = nm.policy.describe()["caps_w"]
     assert len(caps) == 2  # dual socket
     lo, hi = nm.cap_range("socket")
@@ -82,7 +82,7 @@ def _ran_to_first_limit():
     cluster = socket_cluster()
     cluster.submit(Jobspec(app="nqueens", nnodes=2, launcher="non-mpi"))
     cluster.run_for(30.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     assert nm.node_limit_w is not None
     return cluster, nm
 

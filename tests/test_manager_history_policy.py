@@ -23,13 +23,6 @@ def test_registered_in_factories():
     assert POLICY_FACTORIES["history"] is HistoryPolicy
 
 
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        HistoryPolicy(window=0)
-    with pytest.raises(ValueError):
-        HistoryPolicy(margin_w=-1.0)
-
-
 def test_caps_track_quicksilver_peak_plus_margin():
     cluster = history_cluster()
     cluster.submit(Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 30}))
@@ -63,7 +56,7 @@ def test_history_respects_share_ceiling():
     cluster = history_cluster(cap=1800.0)  # 900 W/node share
     cluster.submit(Jobspec(app="gemm", nnodes=2, params={"work_scale": 2}))
     cluster.run_for(120.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     ceiling = nm.derive_share("gpu", 900.0)
     caps = [g.get_cap("nvml") for g in cluster.nodes[0].gpu_domains]
     assert all(c <= ceiling + 1e-6 for c in caps)
@@ -74,7 +67,7 @@ def test_describe_reports_fill():
     cluster = history_cluster()
     cluster.submit(Jobspec(app="quicksilver", nnodes=2, params={"work_scale": 30}))
     cluster.run_for(10.0)
-    d = cluster.manager.node_manager_for_rank(0).policy.describe()
+    d = cluster.manager.node_managers[0].policy.describe()
     assert d["policy"] == "history"
     assert len(d["history_fill"]) == 4
     cluster.run_until_complete(timeout_s=1_000_000)
@@ -86,7 +79,7 @@ def test_reset_on_new_job():
     cluster.run_until_complete(timeout_s=1_000_000)
     b = cluster.submit(Jobspec(app="gemm", nnodes=2, params={"work_scale": 0.5}))
     cluster.run_for(5.0)
-    nm = cluster.manager.node_manager_for_rank(0)
+    nm = cluster.manager.node_managers[0]
     # Fresh history after the tenant change: fill restarted.
     assert max(nm.policy.describe()["history_fill"]) <= 3
     cluster.run_until_complete(timeout_s=1_000_000)

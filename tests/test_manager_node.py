@@ -35,7 +35,7 @@ def test_set_limit_service_enforces_gpu_caps(lassen4):
     fut = lassen4.brokers[0].rpc(2, SET_LIMIT_TOPIC, {"limit_w": 1200.0, "jobid": 7})
     lassen4.run_for(1.0)
     assert fut.value["limit_w"] == 1200.0
-    nm = mgr.node_manager_for_rank(2)
+    nm = mgr.node_managers[2]
     assert nm.node_limit_w == 1200.0
     assert nm.current_jobid == 7
     caps = [g.get_cap("nvml") for g in lassen4.nodes[2].gpu_domains]
@@ -65,7 +65,7 @@ DOMAINS = pytest.mark.parametrize("domain", sorted(LASSEN_DIALS))
 @DOMAINS
 def test_share_respects_cap_range(lassen4, domain):
     mgr = manager_on(lassen4)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     _attr, count, _source, (lo, hi) = LASSEN_DIALS[domain]
     assert nm.device_count(domain) == count
     assert nm.cap_range(domain) == (lo, hi)
@@ -79,9 +79,10 @@ def test_share_respects_cap_range(lassen4, domain):
 
 def test_non_gpu_estimate_refines_with_measurements(lassen4):
     mgr = manager_on(lassen4)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     initial = nm.other_power_w("gpu")
-    lassen4.nodes[0].apply_demand({"cpu0": 250.0, "cpu1": 250.0, "memory0": 150.0})
+    for name, watts in (("cpu0", 250.0), ("cpu1", 250.0), ("memory0", 150.0)):
+        lassen4.nodes[0].domains[name].set_demand(watts)
     lassen4.run_for(30.0)  # several tracker samples
     refined = nm.other_power_w("gpu")
     assert refined > initial
@@ -92,9 +93,10 @@ def test_non_gpu_estimate_refines_with_measurements(lassen4):
 @DOMAINS
 def test_other_power_estimate_tracks_measurements(lassen4, domain):
     mgr = manager_on(lassen4)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     node = lassen4.nodes[0]
-    node.apply_demand({"cpu0": 250.0, "cpu1": 250.0, "gpu0": 250.0})
+    for name in ("cpu0", "cpu1", "gpu0"):
+        node.domains[name].set_demand(250.0)
     lassen4.run_for(30.0)
     attr = LASSEN_DIALS[domain][0]
     other = node.total_power_w() - sum(d.actual_w for d in getattr(node, attr))
@@ -103,7 +105,7 @@ def test_other_power_estimate_tracks_measurements(lassen4, domain):
 
 def test_unknown_cap_domain_raises(lassen4):
     mgr = manager_on(lassen4)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     for dial in (
         lambda: nm.device_count("memory"),
         lambda: nm.cap_range("memory"),
@@ -122,7 +124,7 @@ def test_job_departed_resets_state(lassen4):
     lassen4.run_for(1.0)
     lassen4.brokers[0].rpc(1, JOB_DEPARTED_TOPIC, {"jobid": 3})
     lassen4.run_for(1.0)
-    nm = mgr.node_manager_for_rank(1)
+    nm = mgr.node_managers[1]
     assert nm.current_jobid is None
     assert nm.node_limit_w is None
     assert all(g.get_cap("nvml") is None for g in lassen4.nodes[1].gpu_domains)
@@ -132,7 +134,7 @@ def test_new_jobid_resets_policy(lassen4):
     mgr = manager_on(lassen4, policy="fpp")
     lassen4.brokers[0].rpc(0, SET_LIMIT_TOPIC, {"limit_w": 1200.0, "jobid": 1})
     lassen4.run_for(1.0)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     nm.policy.controllers[0].converged = True
     lassen4.brokers[0].rpc(0, SET_LIMIT_TOPIC, {"limit_w": 1400.0, "jobid": 2})
     lassen4.run_for(1.0)
@@ -154,7 +156,7 @@ def test_tioga_cap_failures_counted(tioga2):
         tioga2,
         ManagerConfig(global_cap_w=5000.0, policy="proportional"),
     )
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     nm.set_cap("gpu", 0, 300.0)
     assert nm.cap_request_failures >= 1
 
@@ -171,7 +173,7 @@ def _cap_sets(instance, domain):
 @DOMAINS
 def test_set_cap_skips_redundant_requests(lassen4, domain):
     mgr = manager_on(lassen4, policy="static")
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     nm.set_cap(domain, 0, 200.0)
     before = _cap_sets(lassen4, domain)
     nvml_before = lassen4.nodes[0].nvml.requests
@@ -183,7 +185,7 @@ def test_set_cap_skips_redundant_requests(lassen4, domain):
 @DOMAINS
 def test_set_cap_clamps_into_range_and_clear_drops_it(lassen4, domain):
     mgr = manager_on(lassen4, policy="static")
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     attr, _count, source, (lo, _hi) = LASSEN_DIALS[domain]
     devices = getattr(lassen4.nodes[0], attr)
     nm.set_cap(domain, 0, 10.0)  # below min -> clamped
@@ -198,9 +200,10 @@ def test_snapshot_carries_no_write_only_tracker_state(lassen4):
     from repro.lifecycle.snapshot import SCHEMA_VERSION, schema_lint
 
     mgr = manager_on(lassen4)
-    lassen4.nodes[0].apply_demand({"cpu0": 250.0, "gpu0": 250.0})
+    for name in ("cpu0", "gpu0"):
+        lassen4.nodes[0].domains[name].set_demand(250.0)
     lassen4.run_for(30.0)
-    state = mgr.node_manager_for_rank(0).snapshot_state()
+    state = mgr.node_managers[0].snapshot_state()
     assert state["recent_non_gpu"] and state["recent_non_cpu"]
     for gone in ("recent", "non_gpu_est_w", "non_cpu_est_w"):
         assert gone not in state
@@ -210,14 +213,14 @@ def test_snapshot_carries_no_write_only_tracker_state(lassen4):
 
 def test_static_policy_never_touches_dials(lassen4):
     mgr = manager_on(lassen4, policy="static", static_cap=1950.0)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     nm.policy.on_node_limit(1200.0)
     assert all(g.get_cap("nvml") is None for g in lassen4.nodes[0].gpu_domains)
 
 
 def test_proportional_policy_clears_caps_when_unconstrained(lassen4):
     mgr = manager_on(lassen4)
-    nm = mgr.node_manager_for_rank(0)
+    nm = mgr.node_managers[0]
     nm.enforce_limit_via_gpus(1200.0)
     assert lassen4.nodes[0].gpu_domains[0].get_cap("nvml") is not None
     nm.policy.on_node_limit(None)

@@ -114,7 +114,7 @@ def test_starved_app_waits_and_resumes():
     try:
         sim = Simulator()
         node = make_lassen_node("n0")
-        node.nvml.set_all(100.0)  # dyn grant 50/250 -> response 0.2 floor-ish
+        variorum.cap_each_gpu_power_limit(node, 100.0)  # dyn grant 50/250
         record = JobRecord(jobid=1, spec=Jobspec(app="stallable", nnodes=1))
         run = AppRun(sim, record, [node], get_profile("stallable"))
         sim.run(until=100.0)
@@ -174,4 +174,5 @@ def test_unregister_service_is_idempotent():
     broker.register_service("x", lambda b, m: None)
     broker.unregister_service("x")
     broker.unregister_service("x")
-    assert not broker.has_service("x")
+    # Gone: registering the topic again is not a duplicate.
+    broker.register_service("x", lambda b, m: None)

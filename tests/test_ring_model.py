@@ -132,7 +132,6 @@ class RingModel(RuleBasedStateMachine):
         assert ring.total_appended == ref.total_appended
         assert ring.dropped == ref.dropped
         assert ring.oldest_timestamp == ref.oldest_timestamp
-        assert ring.newest_timestamp == ref.newest_timestamp
         assert ring.snapshot_state() == ref.snapshot_state()
         assert len(ring.segments) <= len(ring) + 1
 

@@ -35,17 +35,6 @@ from repro.variorum.backends import get_backend
 # Vectorized RNG draws equal the scalar loop they replaced
 # ---------------------------------------------------------------------------
 
-def test_vector_normal_equals_scalar_draws():
-    """Generator.normal(size=n) consumes the stream like n scalar draws."""
-    vec_rng = np.random.default_rng(1234)
-    scal_rng = np.random.default_rng(1234)
-    vec = vec_rng.normal(0.0, 2.5, size=7)
-    scal = [scal_rng.normal(0.0, 2.5) for _ in range(7)]
-    assert [float(x) for x in vec] == [float(x) for x in scal]
-    # And the streams stay aligned for whatever draws next.
-    assert float(vec_rng.normal()) == float(scal_rng.normal())
-
-
 def test_vector_standard_normal_equals_scalar_draws():
     """standard_normal(n) (overlay path delays) is also stream-identical."""
     vec_rng = np.random.default_rng(99)
@@ -140,15 +129,18 @@ def _node_cap(node) -> None:
     node.opal.set_node_power_cap(1000.0)  # binds: the node draws 1790 W
 
 
-#: Every kind of power mutation — demand, per-domain cap and OPAL node
-#: cap, each set and cleared — with the setup that makes it bite.
+#: Every kind of power mutation — demand and per-domain cap, each set
+#: and cleared, and the OPAL node cap set and changed — with the setup
+#: that makes it bite.
 POWER_MUTATIONS = {
     "demand-set": (None, lambda node: node.domains["gpu0"].set_demand(280.0)),
     "demand-clear": (None, lambda node: node.domains["cpu0"].clear_demand()),
     "cap-set": (None, lambda node: node.domains["cpu0"].set_cap("test", 120.0)),
     "cap-clear": (None, lambda node: node.domains["gpu1"].set_cap("test", None)),
     "node-cap-set": (None, _node_cap),
-    "node-cap-clear": (_node_cap, lambda node: node.opal.clear_node_power_cap()),
+    "node-cap-change": (
+        _node_cap, lambda node: node.opal.set_node_power_cap(1200.0)
+    ),
 }
 
 
@@ -159,7 +151,7 @@ POWER_MUTATIONS = {
         lambda node: node.domains["cpu0"].set_cap("test", 120.0),
         lambda node: node.domains["cpu0"].clear_demand(),
         lambda node: node.opal.set_node_power_cap(1950.0),
-        lambda node: node.opal.clear_node_power_cap(),
+        lambda node: node.opal.set_node_power_cap(700.0),
     ],
 )
 def test_power_mutations_invalidate_template(mutate):

@@ -368,7 +368,7 @@ def test_serving_client_raises_structured_errors(world):
     service, driver, _cluster = world
     client = ServingClient(service, driver)
     with pytest.raises(ServingError) as err:
-        client.get_job(123)
+        client.request("GET", "/v1/clusters/default/jobs/123")
     assert err.value.status == 404
     assert err.value.code == "unknown_job"
 

@@ -53,7 +53,6 @@ def test_process_result_available_after_completion():
 
     p = Process(sim, gen())
     sim.run()
-    assert not p.alive
     assert p.result == 42
 
 
@@ -244,7 +243,6 @@ def test_kill_terminates_process():
     sim.schedule(1.0, p.kill)
     sim.run()
     assert seen == []
-    assert not p.alive
     assert p.result is None  # killed processes do not raise from .result
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.chrome_trace import (
     chrome_trace_dict,
     events_from_chrome,
-    to_chrome_trace_json,
     write_chrome_trace,
 )
 from repro.telemetry.tracing import TraceEvent, TraceRecorder
@@ -95,7 +94,7 @@ def test_chrome_round_trip_is_lossless(rec, clock):
     rec.instant("tick", "manager", rank=None, jobs=3)
     rec.span("agg", "monitor", start_s=0.1, end_s=0.4, rank=0, nodes=8)
     originals = rec.events()
-    rebuilt = events_from_chrome(to_chrome_trace_json(rec))
+    rebuilt = events_from_chrome(json.dumps(chrome_trace_dict(rec)))
     assert rebuilt == originals
     assert all(isinstance(e, TraceEvent) for e in rebuilt)
 

@@ -4,7 +4,9 @@
 # Stages, each independently runnable via STAGES="..." (space-separated):
 #   tier1    - the full test suite, fail-fast, then the sample-ring
 #              microbenchmarks (benchmarks/test_monitor_buffer.py) with
-#              timing disabled, so their assertions run on every commit
+#              timing disabled, so their assertions run on every commit,
+#              then a collect-only pass over benchmarks/ (the caller lint
+#              counts benchmarks as callers, so each must stay importable)
 #   shuffle  - the same suite in a seeded shuffled order (state-leak canary)
 #   cov      - tier-1 under pytest-cov with a fail-under gate; skipped with a
 #              notice when pytest-cov is not importable (it is an optional
@@ -84,6 +86,8 @@ for stage in $STAGES; do
             python -m pytest -x -q
             banner "tier-1: ring microbenchmarks (timing disabled)"
             python -m pytest -q benchmarks/test_monitor_buffer.py --benchmark-disable
+            banner "tier-1: every benchmark module imports"
+            python -m pytest --collect-only -q benchmarks
             ;;
         shuffle)
             banner "shuffled order (seed $REPRO_SHUFFLE_SEED): state-leak canary"
