@@ -23,6 +23,7 @@ the trajectory is visible in plain ``git log --stat``.
 from __future__ import annotations
 
 import json
+import os
 import platform as _platform
 import time
 from dataclasses import dataclass, field
@@ -139,6 +140,8 @@ def run_suite(
 
 
 def write_report(report: BenchReport, path: str) -> str:
+    """Write ``report`` to ``path``, creating its directory if missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(report.to_json())
     return path

@@ -40,7 +40,7 @@ gains ``federation_*`` metrics (see docs/observability.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import PowerManagedCluster

@@ -5,7 +5,10 @@ control flow (timers / processes on the shared simulator) and interacts
 with the rest of Flux exclusively through messages. The base class
 tracks every service, subscription and timer a module creates so that
 unloading tears all of it down — the monitor-overhead experiments load
-and unload modules repeatedly.
+and unload modules repeatedly. Of the processes it spawns, a module
+holds only the live ones: a process that finishes is forgotten at once,
+so a long-running module that spawns per request (the root agent's
+collector and watchers) keeps no finished process or its result.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class Module:
         self._topics: List[str] = []
         self._subs: List[Tuple[str, Callable[[Message], None]]] = []
         self._timers: List[PeriodicTimer] = []
-        self._procs: List[Process] = []
+        #: Live processes in spawn order (a dict for O(1) forgetting).
+        self._procs: Dict[Process, None] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -92,7 +96,7 @@ class Module:
         for t in self._timers:
             t.stop()
         self._timers.clear()
-        for p in self._procs:
+        for p in list(self._procs):  # a killed process forgets itself
             p.kill()
         self._procs.clear()
 
@@ -119,8 +123,12 @@ class Module:
 
     def spawn(self, gen, name: Optional[str] = None) -> Process:
         proc = Process(self.sim, gen, name=name or f"{self.name}@{self.broker.rank}")
-        self._procs.append(proc)
+        proc._on_finish = self._forget
+        self._procs[proc] = None
         return proc
+
+    def _forget(self, proc: Process) -> None:
+        self._procs.pop(proc, None)
 
     def rpc(
         self, dst_rank: int, topic: str, payload: Optional[Dict[str, Any]] = None

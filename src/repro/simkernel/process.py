@@ -17,7 +17,7 @@ RPC layer) be written in direct style.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.simkernel.engine import Simulator
 
@@ -234,6 +234,9 @@ class Process(Waitable):
         self._error: Optional[BaseException] = None
         self._done_event = SimEvent(sim)
         self._pending_event = None
+        #: Called synchronously with this process when it finishes; an
+        #: owner sets it to forget the process without waiting on it.
+        self._on_finish: Optional[Callable[["Process"], None]] = None
         sim.schedule(0.0, self._resume, None)
 
     # -- public API ----------------------------------------------------
@@ -312,3 +315,5 @@ class Process(Waitable):
             self._done_event.fail(self._error)
         else:
             self._done_event.succeed(result)
+        if self._on_finish is not None:
+            self._on_finish(self)

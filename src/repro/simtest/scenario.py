@@ -21,7 +21,7 @@ power management logic, not to rediscover documented input validation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan, LinkFaults

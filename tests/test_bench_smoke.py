@@ -70,3 +70,15 @@ def test_bench_repeats_recorded(tmp_path):
     data = json.loads((tmp_path / "BENCH_rep.json").read_text())
     validate_report(data)
     assert data["repeats"] == 2
+
+
+def test_bench_out_dir_is_created(tmp_path):
+    out = tmp_path / "not" / "yet"
+    rc = main(
+        [
+            "bench", "--quick", "--only", "engine_prescheduled",
+            "--name", "mk", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    validate_report(json.loads((out / "BENCH_mk.json").read_text()))

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hardware.firmware import (
-    CappingError,
-    ESMIDriver,
-    NVMLDriver,
-    OPALFirmware,
-    RAPLDriver,
-    ibm_derived_gpu_cap,
-)
+from repro.hardware.firmware import CappingError, ibm_derived_gpu_cap
 from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
 from repro.hardware.platforms.generic import make_generic_node

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Jobspec, ManagerConfig, PowerManagedCluster
-from repro.manager.module import attach_manager
 from repro.manager.policies import FPPSocketPolicy, SOCKET_FPP_PARAMS
 
 

@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.flux.instance import FluxInstance
-from repro.flux.jobspec import Jobspec
 from repro.manager.module import attach_manager
 from repro.manager.cluster_manager import ManagerConfig
-from repro.manager.node_manager import (
-    JOB_DEPARTED_TOPIC,
-    SET_LIMIT_TOPIC,
-    NodeManagerModule,
-)
-from repro.manager.policies import ProportionalPolicy, StaticPolicy
+from repro.manager.node_manager import JOB_DEPARTED_TOPIC, SET_LIMIT_TOPIC
 
 
 def manager_on(instance, policy="proportional", static_cap=None):

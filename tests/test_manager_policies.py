@@ -1,7 +1,5 @@
 """Unit tests for the FPP state machine and policy plumbing."""
 
-import math
-
 import pytest
 
 from repro.manager.policies.fpp import FPPGpuController, FPPParams

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.flux.instance import FluxInstance
-from repro.flux.jobspec import Jobspec
 from repro.monitor.module import attach_monitor
 from repro.monitor.node_agent import NodeAgentModule
 from repro.monitor.root_agent import GET_JOB_POWER_TOPIC

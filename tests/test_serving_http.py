@@ -13,8 +13,6 @@ from __future__ import annotations
 import asyncio
 import json
 
-import pytest
-
 from repro.cluster import PowerManagedCluster
 from repro.manager.cluster_manager import ManagerConfig
 from repro.serving import (

@@ -254,6 +254,18 @@ def test_cli_loadtest_writes_artifact_and_trace(tmp_path, capsys):
     assert json.loads(lines[0])["seq"] == 0
 
 
+def test_cli_loadtest_out_dir_is_created(tmp_path, capsys):
+    out = tmp_path / "not" / "yet"
+    code = main([
+        "loadtest", "--clients", "5", "--requests-per-client", "2",
+        "--seed", "1", "--nodes", "8", "--name", "mk", "--out", str(out),
+        "--quick",
+    ])
+    assert code == 0
+    artifact = json.loads((out / "BENCH_mk.json").read_text())
+    assert artifact["schema"] == "repro-bench/1"
+
+
 def test_cli_loadtest_same_seed_same_digest_lines(tmp_path, capsys):
     argv = ["loadtest", "--clients", "10", "--requests-per-client", "2",
             "--seed", "4", "--nodes", "8", "--out", str(tmp_path), "--quick"]

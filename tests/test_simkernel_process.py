@@ -6,7 +6,6 @@ from repro.simkernel import (
     AllOf,
     AnyOf,
     Process,
-    ProcessKilled,
     SimEvent,
     Simulator,
     Timeout,

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from repro.simtest.harness import SimtestContext, run_scenario
 from repro.simtest.invariants import ServingViewChecker, default_checkers
 from repro.simtest.scenario import (

@@ -11,7 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from repro.cluster import PowerManagedCluster
-from repro.flux.jobspec import Jobspec, JobState
+from repro.flux.jobspec import Jobspec
 from repro.manager.cluster_manager import ManagerConfig
 
 N_NODES = 6

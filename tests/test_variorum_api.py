@@ -6,6 +6,7 @@ from repro import variorum
 from repro.hardware.platforms.generic import make_generic_node
 from repro.hardware.platforms.lassen import make_lassen_node
 from repro.hardware.platforms.tioga import make_tioga_node
+from repro.variorum import backends
 from repro.variorum.backends import get_backend, register_backend
 from repro.variorum.backends.base import Backend
 
@@ -138,10 +139,13 @@ def test_unknown_vendor_rejected():
         get_backend("sparc")
 
 
-def test_custom_backend_registration():
+def test_custom_backend_registration(monkeypatch):
     class FakeBackend(Backend):
         vendor = "riscv"
 
+    # setitem records "riscv" as absent and deletes it on undo, so the
+    # fake does not outlive this test in the module-global registry.
+    monkeypatch.setitem(backends._BACKENDS, "riscv", None)
     register_backend("riscv", FakeBackend())
     assert isinstance(get_backend("riscv"), FakeBackend)
 
