@@ -34,6 +34,47 @@ ServiceHandler = Callable[["Broker", Message], None]
 EventCallback = Callable[[Message], None]
 
 
+class _MetricHandles:
+    """Broker metric handles, one table per telemetry hub.
+
+    The handles are on the per-message hot path, so they are cached
+    rather than looked up in the registry per message. They are
+    resolved lazily, so each series still registers at its first use by
+    any broker (keeping exports identical), and no label carries a
+    rank, so every broker on the hub shares one table — per
+    topic/type/reason where labelled.
+    """
+
+    __slots__ = (
+        "rpc_requests", "rpc_errors", "rpc_latency", "events_published",
+        "sent_by_type", "delivered_by_type", "dropped_by_reason",
+        "tbon_bytes", "tbon_hops", "event_forwards", "event_deliveries",
+    )
+
+    def __init__(self) -> None:
+        self.rpc_requests: Dict[str, Any] = {}
+        self.rpc_errors: Dict[str, Any] = {}
+        self.rpc_latency: Dict[str, Any] = {}
+        self.events_published: Dict[str, Any] = {}
+        self.sent_by_type: Dict[str, Any] = {}
+        self.delivered_by_type: Dict[str, Any] = {}
+        self.dropped_by_reason: Dict[str, Any] = {}
+        self.tbon_bytes = None
+        self.tbon_hops = None
+        self.event_forwards = None
+        self.event_deliveries = None
+
+
+def _metric_handles_of(telemetry) -> _MetricHandles:
+    """The broker handle table of ``telemetry``, attached on first use
+    (duck-typed, like :func:`~repro.telemetry.telemetry_of`, so the hub
+    never needs to know brokers exist)."""
+    handles = getattr(telemetry, "broker_handles", None)
+    if handles is None:
+        handles = telemetry.broker_handles = _MetricHandles()
+    return handles
+
+
 class Broker:
     """One ``flux-broker`` process.
 
@@ -103,21 +144,11 @@ class Broker:
         self.telemetry = telemetry_of(sim)
         #: matchtag -> (topic, send time) for RPC latency accounting.
         self._rpc_sent: Dict[int, Tuple[str, float]] = {}
-        # Metric handles are on the per-message hot path; they are
-        # resolved lazily (so each series still registers at its
-        # historical first-use instant, keeping exports identical) and
-        # cached per broker — per topic/type/reason where labelled.
-        self._c_rpc_requests: Dict[str, Any] = {}
-        self._c_rpc_errors: Dict[str, Any] = {}
-        self._h_rpc_latency: Dict[str, Any] = {}
-        self._c_events_published: Dict[str, Any] = {}
-        self._c_sent_by_type: Dict[str, Any] = {}
-        self._c_delivered_by_type: Dict[str, Any] = {}
-        self._c_dropped_by_reason: Dict[str, Any] = {}
-        self._c_tbon_bytes = None
-        self._c_tbon_hops = None
-        self._c_event_forwards = None
-        self._c_event_deliveries = None
+        #: Hot-path metric handles, shared by every broker on the hub.
+        #: Keep ``Broker`` at or under 30 instance attributes: past that
+        #: CPython gives each instance a private dict instead of the
+        #: shared-key one (pinned by tests/test_per_rank_heap.py).
+        self._handles = _metric_handles_of(self.telemetry)
 
     # ------------------------------------------------------------------
     # Module management (RFC 5: dynamically loaded broker plugins)
@@ -164,14 +195,14 @@ class Broker:
         tag = Message.new_matchtag()
         future = SimEvent(self.sim)
         self._pending_rpcs[tag] = future
-        counter = self._c_rpc_requests.get(topic)
+        counter = self._handles.rpc_requests.get(topic)
         if counter is None:
             counter = self.telemetry.metrics.counter(
                 "flux_rpc_requests_total",
                 labels={"topic": topic},
                 help="RPC requests sent, by topic",
             )
-            self._c_rpc_requests[topic] = counter
+            self._handles.rpc_requests[topic] = counter
         counter.inc()
         self._rpc_sent[tag] = (topic, self.sim.now)
         # CachedSizeDict payloads are write-once by contract, so they
@@ -225,14 +256,14 @@ class Broker:
             dst_rank=0,
         )
         self.messages_sent += 1
-        counter = self._c_events_published.get(topic)
+        counter = self._handles.events_published.get(topic)
         if counter is None:
             counter = self.telemetry.metrics.counter(
                 "flux_events_published_total",
                 labels={"topic": topic},
                 help="events published (pre-sequencing), by topic",
             )
-            self._c_events_published[topic] = counter
+            self._handles.events_published[topic] = counter
         counter.inc()
         arrival = self._fifo_arrival(0, self.overlay.path_delay(self.rank, 0))
         self.sim.schedule_at(arrival, self._registry[0]._sequence_event, msg)
@@ -252,24 +283,31 @@ class Broker:
             self._deliver_event(msg)
         else:
             self._drop_message(msg, "node-down")
-        for child in self.overlay.children(self.rank):
-            if self._c_event_forwards is None:
-                self._c_event_forwards = self.telemetry.metrics.counter(
-                    "tbon_event_forwards_total",
-                    help="event copies forwarded down TBON edges",
-                )
-            self._c_event_forwards.inc()
+        children = self.overlay.children(self.rank)
+        if not children:
+            return
+        forwards = self._handles.event_forwards
+        if forwards is None:
+            forwards = self.telemetry.metrics.counter(
+                "tbon_event_forwards_total",
+                help="event copies forwarded down TBON edges",
+            )
+            self._handles.event_forwards = forwards
+        for child in children:
+            forwards.inc()
             arrival = self._fifo_arrival(child, self.overlay.hop_delay())
             self.sim.schedule_at(arrival, self._registry[child]._broadcast_event, msg)
 
     def _deliver_event(self, msg: Message) -> None:
         self.messages_delivered += 1
-        if self._c_event_deliveries is None:
-            self._c_event_deliveries = self.telemetry.metrics.counter(
+        deliveries = self._handles.event_deliveries
+        if deliveries is None:
+            deliveries = self.telemetry.metrics.counter(
                 "flux_event_deliveries_total",
                 help="event deliveries to brokers (fan-out included)",
             )
-        self._c_event_deliveries.inc()
+            self._handles.event_deliveries = deliveries
+        deliveries.inc()
         for prefix, callback in list(self._subscriptions):
             if msg.topic.startswith(prefix):
                 callback(msg)
@@ -307,26 +345,29 @@ class Broker:
         self.messages_sent += 1
         size = msg.size_bytes()
         msg_type = msg.msg_type.value
-        sent = self._c_sent_by_type.get(msg_type)
+        handles = self._handles
+        sent = handles.sent_by_type.get(msg_type)
         if sent is None:
             sent = self.telemetry.metrics.counter(
                 "flux_messages_sent_total",
                 labels={"type": msg_type},
                 help="point-to-point messages transmitted, by type",
             )
-            self._c_sent_by_type[msg_type] = sent
+            handles.sent_by_type[msg_type] = sent
         sent.inc()
-        if self._c_tbon_bytes is None:
-            self._c_tbon_bytes = self.telemetry.metrics.counter(
+        tbon_bytes = handles.tbon_bytes
+        if tbon_bytes is None:
+            tbon_bytes = self.telemetry.metrics.counter(
                 "tbon_bytes_total",
                 help="payload+header bytes put on the overlay",
             )
-            self._c_tbon_hops = self.telemetry.metrics.counter(
+            handles.tbon_bytes = tbon_bytes
+            handles.tbon_hops = self.telemetry.metrics.counter(
                 "tbon_hops_total",
                 help="tree edges traversed by point-to-point messages",
             )
-        self._c_tbon_bytes.inc(size)
-        self._c_tbon_hops.inc(self.overlay.hop_count(msg.src_rank, msg.dst_rank))
+        tbon_bytes.inc(size)
+        handles.tbon_hops.inc(self.overlay.hop_count(msg.src_rank, msg.dst_rank))
         delay = self.overlay.path_delay(msg.src_rank, msg.dst_rank, size_bytes=size)
         arrival = self._fifo_arrival(msg.dst_rank, delay + extra_delay)
         target = self._registry[msg.dst_rank]
@@ -349,14 +390,14 @@ class Broker:
 
     def _drop_message(self, msg: Message, reason: str) -> None:
         """Account a message lost to fault injection or a dead peer."""
-        counter = self._c_dropped_by_reason.get(reason)
+        counter = self._handles.dropped_by_reason.get(reason)
         if counter is None:
             counter = self.telemetry.metrics.counter(
                 "tbon_messages_dropped_total",
                 labels={"reason": reason},
                 help="messages lost to injected faults or dead brokers, by reason",
             )
-            self._c_dropped_by_reason[reason] = counter
+            self._handles.dropped_by_reason[reason] = counter
         counter.inc()
 
     def _deliver(self, msg: Message) -> None:
@@ -372,14 +413,14 @@ class Broker:
             return
         self.messages_delivered += 1
         msg_type = msg.msg_type.value
-        delivered = self._c_delivered_by_type.get(msg_type)
+        delivered = self._handles.delivered_by_type.get(msg_type)
         if delivered is None:
             delivered = self.telemetry.metrics.counter(
                 "flux_messages_delivered_total",
                 labels={"type": msg_type},
                 help="point-to-point messages delivered, by type",
             )
-            self._c_delivered_by_type[msg_type] = delivered
+            self._handles.delivered_by_type[msg_type] = delivered
         delivered.inc()
         if msg.msg_type is MessageType.REQUEST:
             handler = self._services.get(msg.topic)
@@ -392,14 +433,14 @@ class Broker:
             sent = self._rpc_sent.pop(msg.matchtag, None)
             if sent is not None:
                 topic, t_sent = sent
-                hist = self._h_rpc_latency.get(topic)
+                hist = self._handles.rpc_latency.get(topic)
                 if hist is None:
                     hist = self.telemetry.metrics.histogram(
                         "flux_rpc_latency_seconds",
                         labels={"topic": topic},
                         help="RPC round-trip latency (send to response), by topic",
                     )
-                    self._h_rpc_latency[topic] = hist
+                    self._handles.rpc_latency[topic] = hist
                 hist.observe(self.sim.now - t_sent)
                 self.telemetry.tracer.span(
                     f"rpc:{topic}", "flux", t_sent, rank=self.rank,
@@ -408,14 +449,14 @@ class Broker:
             if future is None:
                 return  # response to a cancelled/unknown RPC: drop
             if msg.errnum != 0:
-                counter = self._c_rpc_errors.get(msg.topic)
+                counter = self._handles.rpc_errors.get(msg.topic)
                 if counter is None:
                     counter = self.telemetry.metrics.counter(
                         "flux_rpc_errors_total",
                         labels={"topic": msg.topic},
                         help="RPC responses carrying a nonzero errnum, by topic",
                     )
-                    self._c_rpc_errors[msg.topic] = counter
+                    self._handles.rpc_errors[msg.topic] = counter
                 counter.inc()
                 future.fail(FluxRPCError(msg.topic, msg.errnum, msg.errmsg))
             else:

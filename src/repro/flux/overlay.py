@@ -56,11 +56,14 @@ class TBON:
         self.latency_jitter = float(latency_jitter)
         self.bandwidth_bps = float(bandwidth_bps)
         self._rng = rng
-        # The topology is immutable, so routes, child lists, depths and
-        # subtree spans are computed once; every transmit prices its
-        # hop count, the fault layer walks the route, and the tree
-        # aggregation strategy walks subtrees per query — all of which
-        # made topology reconstruction a per-message cost.
+        # The topology is immutable, so hop counts, routes, child lists,
+        # depths and subtree spans are computed once; every transmit
+        # prices its hop count, the fault layer walks the route, and the
+        # tree aggregation strategy walks subtrees per query — all of
+        # which made topology reconstruction a per-message cost. Hop
+        # counts are cached as plain ints: only a run with crashed
+        # ranks asks for the route lists themselves.
+        self._hop_cache: Dict[Tuple[int, int], int] = {}
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
         self._children_cache: Dict[int, List[int]] = {}
         self._depth_cache: Dict[int, int] = {}
@@ -173,9 +176,27 @@ class TBON:
 
         Pure topology (no RNG draw) — usable by telemetry accounting
         without perturbing the seeded latency stream that
-        :meth:`path_delay` consumes.
+        :meth:`path_delay` consumes. Cached per (src, dst) as an int,
+        derived from the endpoints' depths without building the route.
         """
-        return len(self.route(src, dst)) - 1
+        hops = self._hop_cache.get((src, dst))
+        if hops is not None:
+            return hops
+        self._check(src)
+        self._check(dst)
+        a, b = src, dst
+        da, db = self.depth(src), self.depth(dst)
+        hops = 0
+        # Step the deeper endpoint up until both meet at their lowest
+        # common ancestor; each step crosses one tree edge.
+        while a != b:
+            if da >= db:
+                a, da = (a - 1) // self.fanout, da - 1
+            else:
+                b, db = (b - 1) // self.fanout, db - 1
+            hops += 1
+        self._hop_cache[(src, dst)] = hops
+        return hops
 
     def path_delay(self, src: int, dst: int, size_bytes: int = 0) -> float:
         """Total latency for a message from ``src`` to ``dst``.

@@ -145,16 +145,59 @@ class _CompositeLeg:
         self._composite._leg_failed(error)
 
 
-class AllOf(Waitable):
-    """Wait for every waitable in a collection; yields a list of results."""
+def _disarmed() -> None:
+    """What a decided composite's losing leg runs when its event fires."""
+
+
+class _Composite(Waitable):
+    """Shared state of :class:`AllOf` / :class:`AnyOf`: the waiter, the
+    items and one :class:`_CompositeLeg` per item. The waiter is
+    ``None`` before the wait starts and once it is decided."""
 
     def __init__(self, sim: Simulator, waitables: Iterable[Waitable]) -> None:
         self._sim = sim
         self._items = list(waitables)
+        self._process: Optional["Process"] = None
+        self._legs: List[_CompositeLeg] = []
+
+    def _start(self, sim: Simulator, process: "Process") -> None:
+        self._process = process
+        self._legs = [
+            _CompositeLeg(sim, self, i, item) for i, item in enumerate(self._items)
+        ]
+
+    def _let_go(self) -> "Process":
+        """The wait is decided: disarm every leg still waiting, drop the
+        waiter and the items; returns the waiter.
+
+        A losing leg's pending event is its item's own (a ``Timeout``
+        leg's timer): every leg's 0-delay kick runs before any leg can
+        decide. The event stays on the heap and still fires, so event
+        counts and same-time order are unchanged, but it no longer
+        reaches the leg, the composite, the waiter or a response it was
+        handed — a decided wait holds no query state until a retry
+        timer expires.
+        """
+        for leg in self._legs:
+            ev = leg._pending_event
+            if ev is not None:
+                ev.callback = _disarmed
+                ev.args = ()
+                leg._pending_event = None
+        process = self._process
+        self._legs = []
+        self._process = None
+        self._items = []
+        return process
+
+
+class AllOf(_Composite):
+    """Wait for every waitable in a collection; yields a list of results."""
+
+    def __init__(self, sim: Simulator, waitables: Iterable[Waitable]) -> None:
+        super().__init__(sim, waitables)
         self._results: List[Any] = []
         self._remaining = 0
-        self._failed = False
-        self._process: Optional["Process"] = None
 
     def _subscribe(self, sim: Simulator, process: "Process") -> None:
         if not self._items:
@@ -162,54 +205,45 @@ class AllOf(Waitable):
             return
         self._results = [None] * len(self._items)
         self._remaining = len(self._items)
-        self._failed = False
-        self._process = process
-        for i, item in enumerate(self._items):
-            _CompositeLeg(sim, self, i, item)
+        self._start(sim, process)
 
     def _leg_done(self, idx: int, value: Any) -> None:
-        if self._failed:
+        if self._process is None:  # an earlier leg failed
             return
         self._results[idx] = value
         self._remaining -= 1
         if self._remaining == 0:
+            self._legs = []  # each leg refers back to this composite
             self._process._resume(self._results)
 
     def _leg_failed(self, error: BaseException) -> None:
         # First failure wins: propagate into the waiting process
-        # (like asyncio.gather without return_exceptions).
-        if not self._failed:
-            self._failed = True
-            self._process._throw(error)
+        # (like asyncio.gather without return_exceptions), and let go
+        # of the other legs and the results gathered so far.
+        if self._process is not None:
+            self._results = []
+            self._let_go()._throw(error)
 
 
-class AnyOf(Waitable):
+class AnyOf(_Composite):
     """Wait for the first waitable to complete; yields ``(index, result)``."""
 
     def __init__(self, sim: Simulator, waitables: Iterable[Waitable]) -> None:
-        self._sim = sim
-        self._items = list(waitables)
+        super().__init__(sim, waitables)
         if not self._items:
             raise ValueError("AnyOf requires at least one waitable")
-        self._fired = False
-        self._process: Optional["Process"] = None
 
     def _subscribe(self, sim: Simulator, process: "Process") -> None:
-        self._fired = False
-        self._process = process
-        for i, item in enumerate(self._items):
-            _CompositeLeg(sim, self, i, item)
+        self._start(sim, process)
 
     def _leg_done(self, idx: int, value: Any) -> None:
-        if not self._fired:
-            self._fired = True
-            self._process._resume((idx, value))
+        if self._process is not None:
+            self._let_go()._resume((idx, value))
 
     def _leg_failed(self, error: BaseException) -> None:
         # A failure also "wins" the race: first outcome decides.
-        if not self._fired:
-            self._fired = True
-            self._process._throw(error)
+        if self._process is not None:
+            self._let_go()._throw(error)
 
 
 class Process(Waitable):

@@ -4,7 +4,7 @@ The recorder keeps the most recent ``capacity`` events in a ring —
 bounded memory for arbitrarily long runs, mirroring the monitor's own
 circular sample buffer. Overflow evicts oldest-first and is counted in
 :attr:`TraceRecorder.dropped`, so an export can say how much history it
-is missing.
+is missing; :meth:`TraceRecorder.clear` is not an eviction.
 
 Timestamps are **simulated seconds** (the registry clock), so a trace
 from a seeded run is itself deterministic. Most handler spans have zero
@@ -19,7 +19,6 @@ Export to ``chrome://tracing`` JSON lives in
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -57,7 +56,15 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Fixed-capacity ring of :class:`TraceEvent` records."""
+    """Fixed-capacity ring of :class:`TraceEvent` records.
+
+    The ring is columnar: one list per field, grown to ``capacity`` and
+    then overwritten in place, oldest slot first. A recorded event adds
+    no container the garbage collector tracks — names, floats, ranks and
+    an ``attrs`` dict of atomic values are all untracked — so a full
+    ring costs the collector seven lists however many events pass
+    through it. :meth:`events` builds the :class:`TraceEvent` records.
+    """
 
     def __init__(self, capacity: int = 8192,
                  clock: Optional[Callable[[], float]] = None,
@@ -67,26 +74,51 @@ class TraceRecorder:
         self.capacity = int(capacity)
         self.clock = clock or (lambda: 0.0)
         self.enabled = enabled
-        self._ring: deque = deque(maxlen=self.capacity)
+        self._name: List[str] = []
+        self._category: List[str] = []
+        self._ts: List[float] = []
+        self._dur: List[float] = []
+        self._rank: List[Optional[int]] = []
+        self._kind: List[str] = []
+        self._attrs: List[Dict[str, Any]] = []
+        #: Slot the next event overwrites once the ring is full (the
+        #: oldest retained event).
+        self._head = 0
+        self._evicted = 0
         self.total_recorded = 0
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, event: TraceEvent) -> None:
-        """Append one event (oldest evicted when the ring is full)."""
-        if not self.enabled:
-            return
-        self._ring.append(event)
+    def _write(self, name: str, category: str, ts_s: float, dur_s: float,
+               rank: Optional[int], kind: str, attrs: Dict[str, Any]) -> None:
         self.total_recorded += 1
+        if len(self._name) < self.capacity:
+            self._name.append(name)
+            self._category.append(category)
+            self._ts.append(ts_s)
+            self._dur.append(dur_s)
+            self._rank.append(rank)
+            self._kind.append(kind)
+            self._attrs.append(attrs)
+            return
+        i = self._head
+        self._name[i] = name
+        self._category[i] = category
+        self._ts[i] = ts_s
+        self._dur[i] = dur_s
+        self._rank[i] = rank
+        self._kind[i] = kind
+        self._attrs[i] = attrs
+        self._head = i + 1 if i + 1 < self.capacity else 0
+        self._evicted += 1
 
     def instant(self, name: str, category: str, rank: Optional[int] = None,
                 **attrs: Any) -> None:
         """Record a zero-duration event at the current sim time."""
-        self.record(TraceEvent(
-            name=name, category=category, ts_s=self.clock(), dur_s=0.0,
-            rank=rank, kind="instant", attrs=attrs,
-        ))
+        if self.enabled:
+            self._write(name, category, self.clock(), 0.0, rank, "instant",
+                        attrs)
 
     def span(self, name: str, category: str, start_s: float,
              end_s: Optional[float] = None, rank: Optional[int] = None,
@@ -97,11 +129,11 @@ class TraceRecorder:
         RPC round trips: stamp ``start_s`` at send, call this from the
         response path.
         """
+        if not self.enabled:
+            return
         end = self.clock() if end_s is None else end_s
-        self.record(TraceEvent(
-            name=name, category=category, ts_s=start_s,
-            dur_s=max(0.0, end - start_s), rank=rank, kind="span", attrs=attrs,
-        ))
+        self._write(name, category, start_s, max(0.0, end - start_s), rank,
+                    "span", attrs)
 
     @contextmanager
     def trace_span(self, name: str, category: str,
@@ -122,19 +154,30 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
-        """Events evicted because the ring wrapped."""
-        return self.total_recorded - len(self._ring)
+        """Events evicted because the ring wrapped (not those cleared)."""
+        return self._evicted
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._name)
 
     def events(self) -> List[TraceEvent]:
         """Retained events, oldest first."""
-        return list(self._ring)
+        n = len(self._name)
+        head = self._head
+        return [
+            TraceEvent(self._name[i], self._category[i], self._ts[i],
+                       self._dur[i], self._rank[i], self._kind[i],
+                       self._attrs[i])
+            for i in [*range(head, n), *range(head)]
+        ]
 
     def clear(self) -> None:
-        """Drop retained events; ``total_recorded`` is preserved."""
-        self._ring.clear()
+        """Drop retained events; ``total_recorded`` and ``dropped`` are
+        preserved."""
+        for column in (self._name, self._category, self._ts, self._dur,
+                       self._rank, self._kind, self._attrs):
+            column.clear()
+        self._head = 0
 
     def render(self, last: Optional[int] = None) -> str:
         """Terminal-friendly dump of the newest ``last`` events."""

@@ -122,3 +122,17 @@ def test_every_rank_reaches_root(size, fanout):
         assert chain[0] == rank
         assert chain[-1] == 0
         assert len(chain) == t.depth(rank) + 1
+
+
+@given(
+    size=st.integers(1, 200),
+    fanout=st.integers(1, 5),
+    data=st.data(),
+)
+def test_hop_count_matches_route_without_building_it(size, fanout, data):
+    t = TBON(size=size, fanout=fanout)
+    src = data.draw(st.integers(0, size - 1))
+    dst = data.draw(st.integers(0, size - 1))
+    hops = t.hop_count(src, dst)
+    assert t._route_cache == {}  # pricing a message builds no route list
+    assert hops == t.hop_count(src, dst) == len(t.route(src, dst)) - 1

@@ -5,7 +5,10 @@ aggregator) spawns a collector and one watcher per leg for each
 ``GET_JOB_POWER`` query. A module holds only its live processes, so
 once a query is answered and the caller drops the response, nothing of
 it stays reachable: no finished process in any module's process list,
-no ``ColumnarSamples`` window from its records.
+no ``ColumnarSamples`` window from its records. A decided wait lets go
+at once: the losing retry-timeout legs still fire (and are counted)
+five simulated seconds later, but they no longer reach the watcher,
+its ``AnyOf`` or the response it was handed.
 """
 
 import gc
@@ -19,10 +22,15 @@ from repro.flux.module import Module
 from repro.flux.overlay import TBON
 from repro.monitor.module import attach_monitor
 from repro.monitor.root_agent import GET_JOB_POWER_TOPIC
-from repro.simkernel import Simulator, Timeout
+from repro.simkernel import AnyOf, Process, Simulator, Timeout
+from repro.simkernel.process import _CompositeLeg
 
 N_NODES = 8
 N_QUERIES = 12
+#: (events_processed, pending()) right after the last response,
+#: recorded while decided waits still held their losing legs: letting
+#: go disarms those legs' events but neither adds nor cancels one.
+ENGINE_AT_LAST_RESPONSE = {"fanout": (470, 21), "tree": (992, 79)}
 
 
 def _columnar_windows() -> int:
@@ -40,21 +48,24 @@ def _query(inst, ranks, t_start, t_end):
     return fut.value["nodes"]
 
 
-def _run_queries(strategy):
+def _run_queries(strategy, settle_s=60.0):
+    """Run the queries; then ``settle_s`` more simulated seconds (the
+    default is past every watcher's retry timeouts)."""
     inst = FluxInstance(platform="lassen", n_nodes=N_NODES, seed=7, fanout=2)
     attach_monitor(inst, sample_interval_s=1.0, buffer_capacity=16, strategy=strategy)
     inst.run_for(10.5)
     before = _columnar_windows()
     for k in range(N_QUERIES):
+        if k:
+            inst.run_for(1.0)
         ranks = [(k + i) % N_NODES for i in range(4)]
         nodes = _query(inst, ranks, inst.sim.now - 5.0, inst.sim.now)
         assert len(nodes) == len(ranks)
         assert all(isinstance(n["samples"], ColumnarSamples) for n in nodes)
         assert all(len(n["samples"]) == 5 for n in nodes)
-        inst.run_for(1.0)
     nodes = None
-    # Past every watcher's retry timeouts: the engine holds no leg.
-    inst.run_for(60.0)
+    if settle_s:
+        inst.run_for(settle_s)
     return inst, before
 
 
@@ -72,6 +83,23 @@ def test_modules_hold_no_finished_process(strategy):
 @pytest.mark.parametrize("strategy", ["fanout", "tree"])
 def test_dropped_query_results_are_unreachable(strategy):
     inst, before = _run_queries(strategy)
+    assert _columnar_windows() == before
+
+
+@pytest.mark.parametrize("strategy", ["fanout", "tree"])
+def test_decided_waits_hold_no_query_state(strategy):
+    # Read right after the last response, while the losing 5 s
+    # timeout legs of the last queries' watchers are still pending.
+    inst, before = _run_queries(strategy, settle_s=0.0)
+    sim = inst.sim
+    assert (sim.events_processed, sim.pending()) == ENGINE_AT_LAST_RESPONSE[strategy]
+    gc.collect()
+    held = [
+        type(obj).__name__ for obj in gc.get_objects()
+        if isinstance(obj, (Process, AnyOf, _CompositeLeg))
+        and not (isinstance(obj, Process) and obj._alive)
+    ]
+    assert held == []
     assert _columnar_windows() == before
 
 

@@ -69,6 +69,21 @@ def test_clear(rec):
     assert len(rec) == 0
 
 
+def test_clear_is_not_an_eviction(rec):
+    for i in range(3):
+        rec.instant(f"e{i}", "flux")
+    rec.clear()
+    rec.instant("e3", "flux")
+    assert rec.dropped == 0
+    assert rec.total_recorded == 4
+    assert "evicted" not in rec.render()
+    for i in range(4, 9):
+        rec.instant(f"e{i}", "flux")
+    assert rec.dropped == 2
+    assert [e.name for e in rec.events()] == ["e5", "e6", "e7", "e8"]
+    assert rec.render().endswith("(2 older events evicted)")
+
+
 def test_render_last(rec):
     for i in range(3):
         rec.instant(f"e{i}", "flux")

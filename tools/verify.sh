@@ -28,11 +28,12 @@
 #              then a forced-tenancy fuzz batch under the tenant
 #              invariant checkers (see docs/tenancy.md)
 #   hostbench - one untraced run of every host-time benchmark workload
-#              at seed 0, plus fpp_site and serve_tenants (the manager's
-#              weighted job split) at the held-out seed 4242; each
-#              must report "correct": true on its last stdout line (the
-#              runner exits 0 even on an incorrect run), which pins the
-#              site digest, events and counters to hostbench/expected.json
+#              at seed 0, plus telemetry_10k, fpp_site and serve_tenants
+#              (the manager's weighted job split) at the held-out seed
+#              4242; each must report "correct": true on its last stdout
+#              line (the runner exits 0 even on an incorrect run), which
+#              pins the site digest, events and counters to
+#              hostbench/expected.json
 #   bench    - quick perf suite compared against the committed
 #              BENCH_columnar.json baseline; OFF by default (set
 #              REPRO_BENCH_GATE=1) so the flow stays fast
@@ -166,7 +167,7 @@ for stage in $STAGES; do
             python -m repro.cli tenants --seeds "$REPRO_TENANCY_SEEDS"
             ;;
         hostbench)
-            for run in telemetry_10k:0 fpp_site:0 serve_tenants:0 fpp_site:4242 serve_tenants:4242; do
+            for run in telemetry_10k:0 fpp_site:0 serve_tenants:0 telemetry_10k:4242 fpp_site:4242 serve_tenants:4242; do
                 workload="${run%%:*}"
                 seed="${run##*:}"
                 banner "hostbench: $workload seed $seed must be correct"
